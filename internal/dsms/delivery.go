@@ -247,30 +247,20 @@ type OperatorStats struct {
 	LatencyP99     float64 `json:"latency_p99_seconds"`
 }
 
-// encodeBufPool recycles the PNG encode scratch across frames and queries;
-// compression state dominates encode allocation otherwise. Buffers are
-// reset on Get (defensive) and again before Put so retained garbage never
-// rides across queries.
-var encodeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// renderFrame encodes one assembled image into a Frame whose PNG backing
-// comes from pngBufPool, recycling the image's value buffer. The returned
+// renderFrame encodes one assembled image straight into a PNG backing
+// drawn from pngBufPool, recycling the image's value buffer. The returned
 // frame carries one reference, owned by the caller (normally handed to
 // frameHub.publish).
 func renderFrame(img *raster.Image, cm raster.Colormap, vmin, vmax float64) (*Frame, error) {
-	buf := encodeBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
+	backing := pngBufPool.Get().(*[]byte)
+	buf := bytes.NewBuffer((*backing)[:0])
 	if err := img.EncodePNG(buf, cm, vmin, vmax); err != nil {
-		buf.Reset()
-		encodeBufPool.Put(buf)
+		*backing = buf.Bytes()[:0]
+		pngBufPool.Put(backing)
 		return nil, err
 	}
-	f := &Frame{Sector: img.T, Width: img.Lat.W, Height: img.Lat.H, pooled: true}
-	backing := pngBufPool.Get().(*[]byte)
-	f.PNG = append((*backing)[:0], buf.Bytes()...)
+	f := &Frame{Sector: img.T, Width: img.Lat.W, Height: img.Lat.H, PNG: buf.Bytes(), pooled: true}
 	pngLive.Add(1)
-	buf.Reset()
-	encodeBufPool.Put(buf)
 	// The assembled frame is delivery-private and fully rendered into the
 	// PNG; its value buffer goes back to the grid-buffer pool.
 	img.Recycle()

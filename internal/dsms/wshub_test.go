@@ -2,6 +2,8 @@ package dsms
 
 import (
 	"bytes"
+	"context"
+	"image"
 	"image/png"
 	"io"
 	"net/http"
@@ -11,6 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"geostreams/internal/geom"
+	"geostreams/internal/query"
+	"geostreams/internal/raster"
+	"geostreams/internal/sat"
+	"geostreams/internal/stream"
 	"geostreams/internal/ws"
 )
 
@@ -269,5 +276,117 @@ func TestWebSocketSharesEncodeWithLongPoll(t *testing.T) {
 	}
 	if ds := reg.DeliveryStats(); ds.Frames != 2 {
 		t.Fatalf("delivery encoded %d frames, want 2 despite two transports", ds.Frames)
+	}
+}
+
+// oracleRenders runs a query on the plain library path — Parse → Build →
+// Assembler → Render, no server, no optimizer — over the same synthetic
+// imager startServer mounts, and returns each sector's rendered frame.
+func oracleRenders(t *testing.T, q, colormap string, sectors int) []*image.RGBA {
+	t.Helper()
+	g := stream.NewGroup(context.Background())
+	im, err := sat.NewLatLonImager(geom.R(-122, 36, -120, 38), 24, 20, sat.DefaultScene(99),
+		[]string{"vis", "nir"}, stream.RowByRow, sectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources, err := im.Streams(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := query.Parse(q, map[string]bool{"vis": true, "nir": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := query.Build(g, plan, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := raster.ColormapByName(colormap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []*image.RGBA
+	asm := raster.NewAssembler()
+	for c := range out.C {
+		imgs, err := asm.Add(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, img := range imgs {
+			frames = append(frames, img.Render(cm, out.Info.VMin, out.Info.VMax))
+		}
+	}
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// TestWebSocketFramesMatchOracleRender: the bytes pushed over the wire
+// decode to exactly the pixels the library oracle renders — the streaming
+// PNG writer and the render-once backing change no delivered pixel.
+func TestWebSocketFramesMatchOracleRender(t *testing.T) {
+	const q = "stretch(ndvi(nir, vis), linear, 0, 255)"
+	want := oracleRenders(t, q, "ndvi", 2)
+	if len(want) != 2 {
+		t.Fatalf("oracle rendered %d frames, want 2", len(want))
+	}
+
+	s, stop := startServer(t, 2)
+	defer stop()
+	reg, err := s.Register(q, DeliveryOptions{Colormap: "ndvi"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	c, err := ws.Dial("ws"+strings.TrimPrefix(srv.URL, "http")+
+		"/queries/"+strconv.FormatInt(int64(reg.ID), 10)+"/ws", nil, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	got := 0
+	deadline := time.Now().Add(20 * time.Second)
+	for got < len(want) {
+		c.SetReadDeadline(deadline) //nolint:errcheck
+		op, p, err := c.ReadMessage()
+		if err != nil {
+			t.Fatalf("after %d frames: %v", got, err)
+		}
+		switch op {
+		case ws.OpPing:
+			if err := c.WritePong(p, time.Now().Add(time.Second)); err != nil {
+				t.Fatal(err)
+			}
+		case ws.OpBinary:
+			f, err := DecodeWSFrame(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img, err := png.Decode(bytes.NewReader(f.PNG))
+			if err != nil {
+				t.Fatalf("frame %d: bad PNG: %v", f.Seq, err)
+			}
+			ref := want[f.Seq]
+			if img.Bounds() != ref.Bounds() {
+				t.Fatalf("frame %d: bounds %v, oracle %v", f.Seq, img.Bounds(), ref.Bounds())
+			}
+			b := ref.Bounds()
+			for y := b.Min.Y; y < b.Max.Y; y++ {
+				for x := b.Min.X; x < b.Max.X; x++ {
+					r1, g1, b1, a1 := img.At(x, y).RGBA()
+					r2, g2, b2, a2 := ref.At(x, y).RGBA()
+					if r1 != r2 || g1 != g2 || b1 != b2 || a1 != a2 {
+						t.Fatalf("frame %d pixel (%d,%d) = %v, oracle %v",
+							f.Seq, x, y, img.At(x, y), ref.At(x, y))
+					}
+				}
+			}
+			got++
+		}
 	}
 }

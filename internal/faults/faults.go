@@ -71,11 +71,17 @@ func Wrap(g *stream.Group, in *stream.Stream, p Policy) *stream.Stream {
 // Wrap interposes the injector between in and the returned stream. The
 // fault goroutine runs inside g, so an injected panic is recovered by the
 // group exactly as an operator panic would be.
+//
+// The wrapper follows the pooled-chunk ownership contract (DESIGN.md §12)
+// like any operator: a duplicate takes its extra reference before the
+// first hand-off, and every chunk it drops — by policy, early close, a
+// held chunk at exit, or input left buffered — is released.
 func (f *Injector) Wrap(g *stream.Group, in *stream.Stream) *stream.Stream {
 	out := make(chan *stream.Chunk, stream.DefaultBuffer)
 	inC := in.C
 	g.Go(func(ctx context.Context) error {
 		defer close(out)
+		defer stream.DrainReleasing(inC)
 		return f.run(ctx, inC, out)
 	})
 	return &stream.Stream{Info: in.Info, C: out}
@@ -84,22 +90,29 @@ func (f *Injector) Wrap(g *stream.Group, in *stream.Stream) *stream.Stream {
 func (f *Injector) run(ctx context.Context, in <-chan *stream.Chunk, out chan<- *stream.Chunk) error {
 	p := f.Policy
 	rng := rand.New(rand.NewSource(p.Seed))
+	// send transfers one reference downstream; a send abandoned on
+	// cancellation releases it instead.
 	send := func(c *stream.Chunk) bool {
 		select {
 		case out <- c:
 			return true
 		case <-ctx.Done():
+			c.Release()
 			return false
 		}
 	}
 	var held *stream.Chunk // data chunk delayed by a reorder fault
-	data := 0              // data chunks consumed so far
+	// A chunk still held at exit — cancellation, early close, an injected
+	// panic — is the wrapper's to release.
+	defer func() { held.Release() }()
+	data := 0 // data chunks consumed so far
 	for {
 		select {
 		case c, ok := <-in:
 			if !ok {
 				if held != nil {
 					send(held)
+					held = nil
 				}
 				return nil
 			}
@@ -107,10 +120,12 @@ func (f *Injector) run(ctx context.Context, in <-chan *stream.Chunk, out chan<- 
 				// Punctuation: release any held chunk first so it stays
 				// inside its sector, then pass the punctuation through.
 				if held != nil {
-					if !send(held) {
+					ok := send(held)
+					held = nil
+					if !ok {
+						c.Release()
 						return nil
 					}
-					held = nil
 				}
 				if !send(c) {
 					return nil
@@ -119,11 +134,13 @@ func (f *Injector) run(ctx context.Context, in <-chan *stream.Chunk, out chan<- 
 			}
 			data++
 			if p.PanicAfter > 0 && data > p.PanicAfter {
+				c.Release()
 				panic(fmt.Sprintf("faults: injected panic after %d data chunks", data-1))
 			}
 			if p.CloseAfter > 0 && data > p.CloseAfter {
 				// Early close: stop emitting but keep draining the input so
 				// the upstream producer can finish its sends and exit.
+				c.Release()
 				drain(ctx, in)
 				return nil
 			}
@@ -132,11 +149,13 @@ func (f *Injector) run(ctx context.Context, in <-chan *stream.Chunk, out chan<- 
 				select {
 				case <-time.After(p.Stall):
 				case <-ctx.Done():
+					c.Release()
 					return nil
 				}
 			}
 			if p.Drop > 0 && rng.Float64() < p.Drop {
 				f.Dropped.Add(1)
+				c.Release()
 				continue
 			}
 			if held == nil && p.Reorder > 0 && rng.Float64() < p.Reorder {
@@ -144,22 +163,32 @@ func (f *Injector) run(ctx context.Context, in <-chan *stream.Chunk, out chan<- 
 				held = c
 				continue
 			}
+			// The duplicate's reference is taken before the first hand-off:
+			// once sent, the receiver may release c at any moment.
+			dup := p.Duplicate > 0 && rng.Float64() < p.Duplicate
+			if dup {
+				c.Retain()
+			}
 			if !send(c) {
+				if dup {
+					c.Release()
+				}
 				return nil
 			}
 			f.Passed.Add(1)
-			if p.Duplicate > 0 && rng.Float64() < p.Duplicate {
+			if dup {
 				f.Duplicated.Add(1)
 				if !send(c) {
 					return nil
 				}
 			}
 			if held != nil {
-				if !send(held) {
+				ok := send(held)
+				held = nil
+				if !ok {
 					return nil
 				}
 				f.Passed.Add(1)
-				held = nil
 			}
 		case <-ctx.Done():
 			return nil
@@ -167,13 +196,15 @@ func (f *Injector) run(ctx context.Context, in <-chan *stream.Chunk, out chan<- 
 	}
 }
 
+// drain consumes and releases the input until it closes or ctx ends.
 func drain(ctx context.Context, in <-chan *stream.Chunk) {
 	for {
 		select {
-		case _, ok := <-in:
+		case c, ok := <-in:
 			if !ok {
 				return
 			}
+			c.Release()
 		case <-ctx.Done():
 			return
 		}

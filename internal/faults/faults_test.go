@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"geostreams/internal/coord"
+	"geostreams/internal/exec"
 	"geostreams/internal/geom"
 	"geostreams/internal/stream"
 )
@@ -199,5 +200,64 @@ func TestStallDelaysDelivery(t *testing.T) {
 	}
 	if time.Since(start) < 50*time.Millisecond {
 		t.Fatal("stalls did not delay the stream")
+	}
+}
+
+// pooledSource holds n sectors of pool-backed grid chunks plus
+// punctuation, fully buffered and closed: no producer can race the
+// wrapper's exit, so any leak is the wrapper's.
+func pooledSource(t *testing.T, lat geom.Lattice, n int) *stream.Stream {
+	t.Helper()
+	ch := make(chan *stream.Chunk, 2*n)
+	for s := 0; s < n; s++ {
+		c, err := stream.NewPooledGridChunk(geom.Timestamp(s), lat, exec.AllocVals(lat.NumPoints()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch <- c
+		ch <- stream.NewEndOfSector(geom.Timestamp(s), lat)
+	}
+	close(ch)
+	return &stream.Stream{Info: testInfo(lat), C: ch}
+}
+
+// TestFaultsKeepOwnershipContract: every fault — drop, duplicate, reorder,
+// early close, panic, and a consumer that walks away — hands each pooled
+// chunk back, so the live count returns to its baseline.
+func TestFaultsKeepOwnershipContract(t *testing.T) {
+	lat := testLat(t)
+	policies := map[string]Policy{
+		"drop":      {Seed: 1, Drop: 0.3},
+		"duplicate": {Seed: 2, Duplicate: 0.4},
+		"reorder":   {Seed: 3, Reorder: 0.5},
+		"mixed":     {Seed: 4, Drop: 0.2, Duplicate: 0.2, Reorder: 0.3},
+		"close":     {Seed: 5, Reorder: 0.5, CloseAfter: 7},
+		"panic":     {Seed: 6, Reorder: 0.5, PanicAfter: 7},
+	}
+	for name, p := range policies {
+		for _, walkAway := range []bool{false, true} {
+			base := stream.PooledLive()
+			ctx, cancel := context.WithCancel(context.Background())
+			g := stream.NewGroup(ctx)
+			out := Wrap(g, pooledSource(t, lat, 40), p)
+			for n := 0; ; n++ {
+				if walkAway && n == 5 {
+					cancel()
+					break
+				}
+				c, ok := <-out.C
+				if !ok {
+					break
+				}
+				c.Release()
+			}
+			g.Wait() //nolint:errcheck // the panic policy ends in a recovered panic
+			stream.DrainReleasing(out.C)
+			cancel()
+			if live := stream.PooledLive(); live != base {
+				t.Fatalf("%s (walk away %v): pooled chunks live = %d, want baseline %d",
+					name, walkAway, live, base)
+			}
+		}
 	}
 }

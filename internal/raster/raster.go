@@ -8,10 +8,7 @@ import (
 	"fmt"
 	"image"
 	"image/color"
-	"image/png"
-	"io"
 	"math"
-	"sync"
 
 	"geostreams/internal/exec"
 	"geostreams/internal/geom"
@@ -180,6 +177,10 @@ func (a *Assembler) assemble(t geom.Timestamp, eosExtent geom.Lattice, haveEOS b
 		return img, nil
 	}
 	for _, c := range chunks {
+		if c.Kind == stream.KindGrid && lat.SameGeometry(c.Grid.Lat) {
+			img.placeGrid(c.Grid)
+			continue
+		}
 		c.ForEachPoint(func(p geom.Point, v float64) {
 			col, row, ok := lat.Index(p.S)
 			if ok {
@@ -188,6 +189,26 @@ func (a *Assembler) assemble(t geom.Timestamp, eosExtent geom.Lattice, haveEOS b
 		})
 	}
 	return img, nil
+}
+
+// placeGrid copies a patch that shares the image's geometry row by row:
+// the patch origin sits a whole number of cells from the image origin, so
+// one integer offset, clipped to the frame, places every point exactly
+// where a per-point lattice Index would.
+func (im *Image) placeGrid(g *stream.GridPatch) {
+	lat := im.Lat
+	oc := int(math.Round((g.Lat.X0 - lat.X0) / lat.DX))
+	or := int(math.Round((g.Lat.Y0 - lat.Y0) / lat.DY))
+	c0, c1 := max(0, -oc), min(g.Lat.W, lat.W-oc)
+	r0, r1 := max(0, -or), min(g.Lat.H, lat.H-or)
+	if c0 >= c1 {
+		return
+	}
+	for r := r0; r < r1; r++ {
+		src := g.Vals[r*g.Lat.W : (r+1)*g.Lat.W]
+		dst := im.Vals[(r+or)*lat.W : (r+or+1)*lat.W]
+		copy(dst[c0+oc:c1+oc], src[c0:c1])
+	}
 }
 
 // unionExtent reconstructs a covering lattice from grid chunks (point
@@ -309,21 +330,4 @@ func (im *Image) Render(cm Colormap, vmin, vmax float64) *image.RGBA {
 		}
 	}
 	return out
-}
-
-// encStatePool recycles png encoder state (filter rows + compressor)
-// across frames; without it every encode re-allocates the zlib window,
-// which dominates steady-state delivery allocation at high frame rates.
-var encStatePool = sync.Pool{New: func() any { return new(png.EncoderBuffer) }}
-
-// pngStatePool adapts encStatePool to png.EncoderBufferPool.
-type pngStatePool struct{}
-
-func (pngStatePool) Get() *png.EncoderBuffer  { return encStatePool.Get().(*png.EncoderBuffer) }
-func (pngStatePool) Put(b *png.EncoderBuffer) { encStatePool.Put(b) }
-
-// EncodePNG writes the image as PNG using a colormap over [vmin, vmax].
-func (im *Image) EncodePNG(w io.Writer, cm Colormap, vmin, vmax float64) error {
-	enc := png.Encoder{BufferPool: pngStatePool{}}
-	return enc.Encode(w, im.Render(cm, vmin, vmax))
 }

@@ -71,6 +71,9 @@ type router struct {
 	group     *stream.Group
 	cancel    context.CancelFunc
 	srcCancel func() // stops the band subscription feed
+	// src is the band feed until the first outlet starts the run loop, nil
+	// after. Guarded by m.mu.
+	src <-chan *stream.Chunk
 
 	idx *cascade.Locked
 	st  *stream.Stats
@@ -136,7 +139,10 @@ func (m *Manager) bandRouter(band string) (*router, error) {
 		// routing stage serves many queries.
 		rt.st.AttachTrace(m.trace)
 	}
-	g.Go(func(ctx context.Context) error { return rt.run(ctx, src.C) })
+	// The run loop starts with the first outlet (addOutlet): started here,
+	// it could route — or, on a finite feed, finish — before anyone is
+	// attached, and the first query would see an empty stream.
+	rt.src = src.C
 	m.routers[band] = rt
 	return rt, nil
 }
@@ -152,7 +158,7 @@ func (rt *router) isDead() bool {
 // operator, and the removal closure (idempotence handled by the caller's
 // node lifecycle: srcCancel runs once per node teardown). A router whose
 // run loop already exited hands back a closed stream — the same contract a
-// late hub subscriber gets.
+// late hub subscriber gets. Caller holds m.mu.
 func (rt *router) addOutlet(region geom.RectRegion) (*stream.Stream, *stream.Stats, func()) {
 	op := core.SpatialRestrict{Region: region}
 	st := stream.NewStats(op.Name())
@@ -178,6 +184,10 @@ func (rt *router) addOutlet(region geom.RectRegion) (*stream.Stream, *stream.Sta
 	rt.refs++
 	rt.mu.Unlock()
 	rt.idx.Insert(o.id, region.Rect)
+	if src := rt.src; src != nil {
+		rt.src = nil
+		rt.group.Go(func(ctx context.Context) error { return rt.run(ctx, src) })
+	}
 	return &stream.Stream{Info: rt.srcInfo, C: o.out}, st, func() { rt.removeOutlet(o) }
 }
 
@@ -375,12 +385,30 @@ func (rt *router) route(ctx context.Context, c *stream.Chunk) {
 // an outlet that detached (or detaches while we block on its full channel)
 // is skipped and the undelivered reference released, so a departing query
 // never stalls the band's routing.
+//
+// Draining is split by time: removeOutlet drains what was buffered before
+// done closed, and the sender drains anything it deposits after. A send
+// racing the close is caught by the re-check that follows every deposit.
 func (rt *router) send(ctx context.Context, o *outlet, c *stream.Chunk) {
+	// A detached outlet is skipped, not sent to: with both the send and the
+	// done arm ready, select would sometimes deposit a chunk nobody reads.
+	select {
+	case <-o.done:
+		c.Release()
+		stream.DrainReleasing(o.out)
+		return
+	default:
+	}
 	c.Retain() // guard: keep c readable for CountOut after hand-off
 	select {
 	case o.out <- c:
 		o.st.CountOut(c)
 		c.Release()
+		select {
+		case <-o.done:
+			stream.DrainReleasing(o.out)
+		default:
+		}
 	case <-o.done:
 		c.Release() // the guard
 		c.Release() // the undelivered transfer reference

@@ -349,6 +349,7 @@ func TestRoutedEndedRouterNotReused(t *testing.T) {
 // queries, across repeated router build/teardown cycles.
 func TestRoutedChurn(t *testing.T) {
 	w := testWorkload(t)
+	base := stream.PooledLive()
 	sub := newReplaySub(w, false) // ungated: chunks flow from the first Acquire
 	m := NewManager(context.Background(), sub)
 
@@ -398,5 +399,14 @@ func TestRoutedChurn(t *testing.T) {
 	wg.Wait()
 	if n := liveRouters(m.Snapshot()); n != 0 {
 		t.Fatalf("%d routers still live after churn drained", n)
+	}
+	// Mounts walked away from mid-stream still hand every crop back.
+	deadline := time.Now().Add(5 * time.Second)
+	for stream.PooledLive() != base {
+		if time.Now().After(deadline) {
+			t.Fatalf("pooled chunks leaked under churn: live = %d, baseline = %d",
+				stream.PooledLive(), base)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }

@@ -179,7 +179,11 @@ func runPrivate(t *testing.T, w *workload, plan query.Node) (query.Fingerprint, 
 	if err := g.Wait(); err != nil {
 		return query.Fingerprint{}, err
 	}
-	return query.FingerprintChunks(chunks), nil
+	fp := query.FingerprintChunks(chunks)
+	for _, c := range chunks {
+		c.Release()
+	}
+	return fp, nil
 }
 
 // TestSharedVsPrivateBitIdentical is the harness acceptance property: over

@@ -174,6 +174,7 @@ func (f *Fanout) broadcast(ctx context.Context, c *Chunk) bool {
 	select {
 	case <-f.armed:
 	case <-ctx.Done():
+		c.Release()
 		return false
 	}
 	// Capture the trace fields before any hand-off: once a consumer holds
