@@ -49,7 +49,9 @@ func TestCascadeRoutedDistinctRectsBitIdentical(t *testing.T) {
 		"rselect(vis, rect(-121.9, 36.1, -120.9, 37.1))",
 		"rselect(vis, rect(-121.5, 36.5, -120.5, 37.5))",
 		"rselect(vis, rect(-121.2, 36.2, -120.2, 37.8))",
-		// The same rect twice: dedups to one routed node, one outlet.
+		// The same rect twice: dedups to one routed node, one outlet. (It
+		// renders with another colormap, so it is a second product on
+		// that node, not a handle on the first query's product.)
 		"rselect(vis, rect(-121.5, 36.5, -120.5, 37.5))",
 		// A crop pushed below a derived band: two routable frontiers.
 		"rselect(ndvi(nir, vis), rect(-121.7, 36.3, -120.3, 37.7))",
@@ -59,7 +61,11 @@ func TestCascadeRoutedDistinctRectsBitIdentical(t *testing.T) {
 		defer stop()
 		regs := make([]*Registered, len(queries))
 		for i, q := range queries {
-			r, err := s.Register(q, DeliveryOptions{Colormap: "gray"})
+			cm := "gray"
+			if i == 3 {
+				cm = "thermal"
+			}
+			r, err := s.Register(q, DeliveryOptions{Colormap: cm})
 			if err != nil {
 				t.Fatalf("register %q: %v", q, err)
 			}

@@ -62,35 +62,32 @@ type SeriesPoint struct {
 	NaN bool           `json:"nan,omitempty"`
 }
 
-// Registered is one live continuous query.
+// Registered is one live continuous query: a handle on the product it
+// reads. Every field the pipeline owns lives in the embedded product, which
+// several handles share when their queries render the same frames (see
+// productKey); a handle keeps only its identity, its cursors and its resume
+// shadows.
 type Registered struct {
 	ID   cascade.QueryID
 	Text string
 	Plan query.Node
 	Info stream.Info
 
-	opts   DeliveryOptions
-	stats  []*stream.Stats
-	deliv  *deliveryStats
-	group  *stream.Group
-	server *Server
-	// bands are this query's private hub subscriptions (empty under shared
-	// execution, where trunks own the subscriptions); shared lists the
-	// digests of the trunks the query mounts; detach disconnects the query
-	// from the data plane either way (idempotent).
-	bands  []string
-	shared []string
-	detach func()
-	// taps feeds the wire push subscribers (GET /queries/{id}/stream);
-	// the delivery stage reads the tap set's pass-through.
-	taps *stream.TapSet
-	// trace is this query's span recorder; its ring backs
-	// GET /queries/{id}/trace.
-	trace   *trace.Recorder
-	frames  *frameHub
-	series  *seriesBuffer
-	stopped chan struct{}
-	err     error
+	*product
+	// attach is the sequence of the first frame published after this
+	// handle registered and attachBytes the product's frame bytes at that
+	// point: its cursors start there and its DeliveryStats count from
+	// there, so a handle joining a running product never sees an earlier
+	// frame.
+	attach      uint64
+	attachBytes int64
+	// gone is closed by Deregister, ending this handle's viewers even while
+	// other handles keep the product running.
+	gone chan struct{}
+	// legacy is this handle's NextFrame cursor. Each handle has its own, so
+	// two handles on one product never split its frames between them.
+	legacyMu sync.Mutex
+	legacy   uint64
 
 	// shadows are the resume pipelines serving ?resume= subscribers (see
 	// splice.go). They deliberately outlive the primary pipeline's natural
@@ -101,12 +98,99 @@ type Registered struct {
 	shadowsClosed bool
 }
 
+// product is one rendered output: a query pipeline, its delivery stage
+// (assembler and PNG encode), frame ring and push taps. Under shared
+// execution a registration whose productKey matches a live product becomes
+// a handle on it instead of building its own, so signature-equal queries
+// encode each frame once; the last handle's Deregister tears it down.
+type product struct {
+	// key is the dedupe key, empty for a product no later registration may
+	// join (sharing off, a store scan); digest is the product's short name
+	// on GET /queries/{id}. traceID keys the span ring: the id of the
+	// query that built the product.
+	key     string
+	digest  string
+	traceID int64
+	// handles counts the registrations reading this product; changed only
+	// under server.mu.
+	handles atomic.Int64
+
+	opts   DeliveryOptions
+	stats  []*stream.Stats
+	deliv  *deliveryStats
+	group  *stream.Group
+	server *Server
+	// bands are the product's private hub subscriptions (empty under shared
+	// execution, where trunks own the subscriptions); shared lists the
+	// digests of the trunks the pipeline mounts; detach disconnects the
+	// pipeline from the data plane either way (idempotent).
+	bands  []string
+	shared []string
+	detach func()
+	// taps feeds the wire push subscribers (GET /queries/{id}/stream);
+	// the delivery stage reads the tap set's pass-through.
+	taps *stream.TapSet
+	// trace is the product's span recorder; its ring backs
+	// GET /queries/{id}/trace.
+	trace   *trace.Recorder
+	frames  *frameHub
+	series  *seriesBuffer
+	stopped chan struct{}
+	err     error
+}
+
+// newHandle attaches one registration to the product at the current head
+// of its frame ring. Caller holds server.mu.
+func (p *product) newHandle(id cascade.QueryID, text string, plan query.Node, info stream.Info) *Registered {
+	p.handles.Add(1)
+	next, bytes := p.frames.published()
+	return &Registered{
+		ID: id, Text: text, Plan: plan, Info: info, product: p,
+		attach: next, attachBytes: bytes, legacy: next,
+		gone: make(chan struct{}),
+	}
+}
+
+// encodeCounts are exact encode work counters: PNG frames encoded, pixels
+// rendered into them and bytes fed to deflate.
+type encodeCounts struct {
+	frames, pixels, deflateIn atomic.Int64
+}
+
+func (c *encodeCounts) add(w, h int) {
+	c.frames.Add(1)
+	c.pixels.Add(int64(w) * int64(h))
+	c.deflateIn.Add(raster.PNGDeflateInput(w, h))
+}
+
+// ProductInfo is the JSON form of the product a query reads: its digest
+// (equal on every handle of one product), how many registrations share
+// it, and the exact encode work it has done.
+type ProductInfo struct {
+	Digest         string `json:"digest"`
+	Handles        int64  `json:"handles"`
+	FramesEncoded  int64  `json:"frames_encoded"`
+	PixelsEncoded  int64  `json:"pixels_encoded"`
+	DeflateBytesIn int64  `json:"deflate_bytes_in"`
+}
+
+// ProductInfo snapshots the query's product.
+func (r *Registered) ProductInfo() ProductInfo {
+	enc := &r.deliv.enc
+	return ProductInfo{
+		Digest:         r.digest,
+		Handles:        r.handles.Load(),
+		FramesEncoded:  enc.frames.Load(),
+		PixelsEncoded:  enc.pixels.Load(),
+		DeflateBytesIn: enc.deflateIn.Load(),
+	}
+}
+
 // deliveryStats instruments the final stage of a query: what actually
 // reached the client-facing queues, and how stale the data was when it
 // got there.
 type deliveryStats struct {
-	frames       atomic.Int64
-	frameBytes   atomic.Int64
+	enc          encodeCounts
 	seriesPoints atomic.Int64
 	// age observes, per delivered data chunk, the seconds from instrument
 	// ingest to arrival at the delivery stage — the end-to-end data
@@ -138,12 +222,15 @@ type DeliveryStats struct {
 	SLOSeconds float64 `json:"frame_age_slo_seconds,omitempty"`
 }
 
-// DeliveryStats snapshots the delivery-stage telemetry.
+// DeliveryStats snapshots the delivery-stage telemetry. Frames and
+// FrameBytes count what was published since this handle registered; the
+// other fields are the product's.
 func (r *Registered) DeliveryStats() DeliveryStats {
 	age := r.deliv.age.Snapshot()
+	next, bytes := r.frames.published()
 	return DeliveryStats{
-		Frames:        r.deliv.frames.Load(),
-		FrameBytes:    r.deliv.frameBytes.Load(),
+		Frames:        int64(next - r.attach),
+		FrameBytes:    bytes - r.attachBytes,
 		SeriesPoints:  r.deliv.seriesPoints.Load(),
 		ShedFrames:    r.frames.shedCount(),
 		AgeSamples:    age.Count,
@@ -270,19 +357,19 @@ func renderFrame(img *raster.Image, cm raster.Colormap, vmin, vmax float64) (*Fr
 
 // deliver consumes the pipeline output: raster outputs are assembled into
 // frames and PNG-encoded; point outputs append to the series buffer.
-func (r *Registered) deliver(ctx context.Context, out *stream.Stream) error {
+func (p *product) deliver(ctx context.Context, out *stream.Stream) error {
 	asm := raster.NewAssembler()
 	// The frame queue must close on every exit path — encode failures,
 	// assembler errors, cancellation — or clients blocked in NextFrame hang
 	// until their wait expires on a query that is already dead. Likewise
 	// the assembler's partially accumulated sector state is discarded so an
 	// errored pipeline doesn't pin chunk memory.
-	defer r.frames.close()
+	defer p.frames.close()
 	defer asm.Discard()
 	// On an early exit (encode/assembler error, cancellation) chunks may
 	// still be queued on the output channel; hand their buffers back.
 	defer stream.DrainReleasing(out.C)
-	cm, err := raster.ColormapByName(r.opts.Colormap)
+	cm, err := raster.ColormapByName(p.opts.Colormap)
 	if err != nil {
 		return err
 	}
@@ -298,18 +385,18 @@ func (r *Registered) deliver(ctx context.Context, out *stream.Stream) error {
 			begin = time.Now()
 		}
 		// Render once: the frame is encoded exactly one time here and every
-		// subscriber — long-poll, WebSocket, in-process — reads the same
-		// pooled-backed bytes through its own cursor (fanout.go).
-		f, err := renderFrame(img, cm, r.opts.VMin, r.opts.VMax)
+		// subscriber of every handle on the product — long-poll, WebSocket,
+		// in-process — reads the same pooled-backed bytes through its own
+		// cursor (fanout.go).
+		f, err := renderFrame(img, cm, p.opts.VMin, p.opts.VMax)
 		if err != nil {
 			return err
 		}
-		n := len(f.PNG)
-		r.frames.publish(f)
-		r.deliv.frames.Add(1)
-		r.deliv.frameBytes.Add(int64(n))
+		p.deliv.enc.add(f.Width, f.Height)
+		p.server.encoded.add(f.Width, f.Height)
+		p.frames.publish(f)
 		if lastTrace != 0 {
-			r.trace.Record(lastTrace, trace.StageEncode, "png",
+			p.trace.Record(lastTrace, trace.StageEncode, "png",
 				begin, time.Since(begin), lastT, lastPunct)
 		}
 		return nil
@@ -341,23 +428,23 @@ func (r *Registered) deliver(ctx context.Context, out *stream.Stream) error {
 			if c.IsData() && c.Ingest != 0 {
 				// End-to-end freshness: instrument ingest → delivery stage.
 				age := time.Now().UnixNano() - c.Ingest
-				r.deliv.age.Observe(float64(age) / 1e9)
-				if slo := r.server.frameAgeSLO.Load(); slo > 0 && age > slo {
-					r.deliv.sloBurn.Add(1)
+				p.deliv.age.Observe(float64(age) / 1e9)
+				if slo := p.server.frameAgeSLO.Load(); slo > 0 && age > slo {
+					p.deliv.sloBurn.Add(1)
 				}
 			}
 			if c.Kind == stream.KindPoints {
 				for _, pv := range c.Points {
-					r.series.push(SeriesPoint{
+					p.series.push(SeriesPoint{
 						T: pv.P.T, X: pv.P.S.X, Y: pv.P.S.Y,
 						Val: pv.V, NaN: math.IsNaN(pv.V),
 					})
 				}
 				n := int64(len(c.Points))
 				c.Release()
-				r.deliv.seriesPoints.Add(n)
+				p.deliv.seriesPoints.Add(n)
 				if tr != 0 {
-					r.trace.Record(tr, trace.StageDeliver, "series",
+					p.trace.Record(tr, trace.StageDeliver, "series",
 						begin, time.Since(begin), tT, punct)
 				}
 				continue
@@ -372,7 +459,7 @@ func (r *Registered) deliver(ctx context.Context, out *stream.Stream) error {
 				}
 			}
 			if tr != 0 {
-				r.trace.Record(tr, trace.StageDeliver, "frame",
+				p.trace.Record(tr, trace.StageDeliver, "frame",
 					begin, time.Since(begin), tT, punct)
 			}
 		case <-ctx.Done():
@@ -382,16 +469,21 @@ func (r *Registered) deliver(ctx context.Context, out *stream.Stream) error {
 }
 
 // NextFrame blocks up to wait for the next completed frame; ok is false
-// when the query stopped and every buffered frame was consumed, or the
-// wait elapsed. This is the pre-fan-out destructive API: all NextFrame
-// callers share one cursor, so concurrent callers split the stream
-// between them. Viewers that each need the full sequence use
-// SubscribeFrames (in-process), the cursor form of GET /queries/{id}/frame,
-// or the WebSocket hub.
+// when the query stopped and every buffered frame was consumed, the handle
+// was deregistered, or the wait elapsed. This is the pre-fan-out
+// destructive API: all NextFrame callers on one handle share its cursor,
+// so concurrent callers split the stream between them. Returned frames
+// are retained and never released by callers; their backing degrades to
+// GC. Viewers that each need the full sequence use SubscribeFrames
+// (in-process), the cursor form of GET /queries/{id}/frame, or the
+// WebSocket hub.
 func (r *Registered) NextFrame(wait time.Duration) (*Frame, bool) {
 	deadline := time.Now().Add(wait)
 	for {
-		f, cursor, st := r.frames.popLegacy()
+		r.legacyMu.Lock()
+		f, next, _, st := r.frames.frameAt(r.legacy)
+		r.legacy = next
+		r.legacyMu.Unlock()
 		switch st {
 		case frameReady:
 			return f, true
@@ -399,10 +491,10 @@ func (r *Registered) NextFrame(wait time.Duration) (*Frame, bool) {
 			return nil, false
 		}
 		rem := time.Until(deadline)
-		if rem <= 0 {
+		if rem <= 0 || isClosed(r.gone) {
 			return nil, false
 		}
-		r.frames.await(cursor, rem)
+		r.frames.await(next, rem)
 	}
 }
 

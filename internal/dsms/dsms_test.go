@@ -413,64 +413,49 @@ func TestChunkDequeShedsOldestData(t *testing.T) {
 
 func TestFrameHubLegacyPop(t *testing.T) {
 	h := newFrameHub(2)
+	r := &Registered{product: &product{frames: h}}
 	pub := func(sec int64) {
 		f := &Frame{Sector: geom.Timestamp(sec)}
 		f.refs.Store(1)
 		h.publish(f)
 	}
-	pop := func(wait time.Duration) (*Frame, bool) {
-		deadline := time.Now().Add(wait)
-		for {
-			f, cursor, st := h.popLegacy()
-			switch st {
-			case frameReady:
-				return f, true
-			case frameClosed:
-				return nil, false
-			}
-			rem := time.Until(deadline)
-			if rem <= 0 {
-				return nil, false
-			}
-			h.await(cursor, rem)
-		}
-	}
 	pub(1)
 	pub(2)
 	pub(3) // evicts sector 1
-	f, ok := pop(time.Second)
+	f, ok := r.NextFrame(time.Second)
 	if !ok || f.Sector != 2 {
 		t.Fatalf("pop = %+v, %v", f, ok)
 	}
 	if h.shedCount() != 1 {
 		t.Fatalf("shed = %d", h.shedCount())
 	}
-	f, _ = pop(time.Second)
+	f, _ = r.NextFrame(time.Second)
 	if f.Sector != 3 {
 		t.Fatal("ring order wrong")
 	}
 	// Empty + timeout.
 	start := time.Now()
-	if _, ok := pop(50 * time.Millisecond); ok {
+	if _, ok := r.NextFrame(50 * time.Millisecond); ok {
 		t.Fatal("empty pop must time out")
 	}
 	if time.Since(start) < 40*time.Millisecond {
 		t.Fatal("timeout returned early")
 	}
 	h.close()
-	if _, ok := pop(time.Second); ok {
+	if _, ok := r.NextFrame(time.Second); ok {
 		t.Fatal("closed drained hub must report !ok immediately")
 	}
 	// Buffered frames still drain after close: the legacy cursor keeps
 	// serving the retained tail of a finished query.
 	h2 := newFrameHub(2)
+	r2 := &Registered{product: &product{frames: h2}}
 	f2 := &Frame{Sector: 9}
 	f2.refs.Store(1)
 	h2.publish(f2)
 	h2.close()
-	got, cur, st := h2.popLegacy()
-	if st != frameReady || got.Sector != 9 || cur != 1 {
-		t.Fatalf("post-close drain = %+v cur=%d st=%d", got, cur, st)
+	got, ok := r2.NextFrame(0)
+	if !ok || got.Sector != 9 || r2.legacy != 1 {
+		t.Fatalf("post-close drain = %+v ok=%v cursor=%d", got, ok, r2.legacy)
 	}
 }
 

@@ -208,6 +208,11 @@ func (s *Server) serveSubscription(reg *Registered, conn net.Conn, bufrw *bufio.
 			log.Info("subscriber detached",
 				"delivered", tap.Delivered(), "dropped", tap.Dropped())
 			return
+		case <-reg.gone:
+			// The query was deregistered; its product may live on for
+			// other handles, but this subscription ends here.
+			write(func(w *wire.Writer) error { return w.Bye() })
+			return
 		case <-s.ctx.Done():
 			write(func(w *wire.Writer) error { return w.Bye() })
 			return

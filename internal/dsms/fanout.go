@@ -6,12 +6,14 @@ import (
 	"time"
 )
 
-// This file is the render-once fan-out hub (DESIGN.md §15). The delivery
-// stage encodes each PNG frame exactly once and publishes it into a
-// ref-counted ring; every viewer — HTTP long-poll, WebSocket, in-process
-// subscription — reads the same bytes through its own cursor. A slow
-// reader skips forward over evicted frames (shed is counted per client),
-// so no reader ever stalls the pipeline or another reader.
+// This file is the render-once fan-out hub (DESIGN.md §15). A product's
+// delivery stage encodes each PNG frame exactly once and publishes it into
+// a ref-counted ring; every viewer of every handle on the product — HTTP
+// long-poll, WebSocket, in-process subscription — reads the same bytes
+// through its own cursor, which never starts before its handle's attach
+// sequence. A slow reader skips forward over evicted frames (shed is
+// counted per client), so no reader ever stalls the pipeline or another
+// reader.
 //
 // Ownership contract:
 //   - publish transfers the caller's reference to the ring.
@@ -74,9 +76,8 @@ type frameHub struct {
 	base   uint64 // sequence of ring[0]
 	next   uint64 // sequence the next published frame receives
 	closed bool
-	// legacy is the shared cursor behind Registered.NextFrame — the
-	// pre-fan-out destructive API kept for in-process consumers.
-	legacy  uint64
+	// bytes sums the PNG bytes of every published frame.
+	bytes   int64
 	waiters map[*frameWaiter]struct{}
 	// shed counts frames a reader skipped because they were evicted
 	// before it caught up (summed over all readers); wakeups counts
@@ -105,6 +106,7 @@ func (h *frameHub) publish(f *Frame) {
 	}
 	f.Seq = h.next
 	h.next++
+	h.bytes += int64(len(f.PNG))
 	h.ring = append(h.ring, f)
 	var evicted *Frame
 	if len(h.ring) > h.max {
@@ -232,52 +234,44 @@ func (h *frameHub) ringLen() int {
 	return len(h.ring)
 }
 
-// popLegacy advances the shared legacy cursor — the destructive
-// single-consumer semantics of the pre-fan-out frame queue, kept for
-// in-process drain loops (Registered.NextFrame). Frames it returns are
-// retained and never released by callers; their backing degrades to GC.
-// On frameWait the returned cursor is the sequence to await.
-func (h *frameHub) popLegacy() (*Frame, uint64, frameStatus) {
+// published reports how many frames were published and their total PNG
+// bytes, read together so a handle's attach point is consistent.
+func (h *frameHub) published() (frames uint64, bytes int64) {
 	h.mu.Lock()
-	cursor := h.legacy
-	if cursor < h.base {
-		skipped := int64(h.base - cursor)
-		cursor = h.base
-		h.shed.Add(skipped)
-	}
-	if cursor < h.next {
-		f := h.ring[cursor-h.base]
-		f.retain()
-		h.legacy = cursor + 1
-		h.mu.Unlock()
-		return f, cursor + 1, frameReady
-	}
-	h.legacy = cursor
-	closed := h.closed
-	h.mu.Unlock()
-	if closed {
-		return nil, cursor, frameClosed
-	}
-	return nil, cursor, frameWait
+	defer h.mu.Unlock()
+	return h.next, h.bytes
 }
 
 // FrameSub is one subscriber's cursor over a query's shared frame cache.
-// It starts at the oldest retained frame and observes every frame from
-// there on, except those evicted while it lagged (counted by Shed). Not
-// safe for concurrent use by multiple goroutines.
+// It starts at the oldest retained frame its handle may see and observes
+// every frame from there on, except those evicted while it lagged
+// (counted by Shed). It ends when the product stops or its handle is
+// deregistered. Not safe for concurrent use by multiple goroutines.
 type FrameSub struct {
 	hub    *frameHub
+	gone   <-chan struct{}
 	cursor uint64
 	shed   atomic.Int64
-	closed bool
+	gauged bool
 }
 
 // SubscribeFrames attaches a new fan-out subscription to the query's
 // frame cache. Close it when done so the subscriber gauge stays honest.
 func (r *Registered) SubscribeFrames() *FrameSub {
-	h := r.frames
-	h.subs.Add(1)
-	return &FrameSub{hub: h, cursor: h.oldest()}
+	s := r.frameCursor(r.frames.oldest())
+	s.gauged = true
+	r.frames.subs.Add(1)
+	return s
+}
+
+// frameCursor is an ungauged cursor at seq, moved up to the handle's
+// attach point: a handle never reads a frame published before it
+// registered.
+func (r *Registered) frameCursor(seq uint64) *FrameSub {
+	if seq < r.attach {
+		seq = r.attach
+	}
+	return &FrameSub{hub: r.frames, gone: r.gone, cursor: seq}
 }
 
 // Next blocks up to wait for the frame at the subscription's cursor; ok
@@ -299,7 +293,7 @@ func (s *FrameSub) Next(wait time.Duration) (*Frame, bool) {
 			return nil, false
 		}
 		rem := time.Until(deadline)
-		if rem <= 0 {
+		if rem <= 0 || isClosed(s.gone) {
 			return nil, false
 		}
 		s.hub.await(s.cursor, rem)
@@ -311,13 +305,27 @@ func (s *FrameSub) Next(wait time.Duration) (*Frame, bool) {
 func (s *FrameSub) Shed() int64 { return s.shed.Load() }
 
 // Ended reports whether the query stopped and this subscription has read
-// every retained frame — the signal to finish a transport cleanly rather
-// than re-poll.
+// every retained frame, or its handle was deregistered — the signal to
+// finish a transport cleanly rather than re-poll.
 func (s *FrameSub) Ended() bool {
+	if isClosed(s.gone) {
+		return true
+	}
 	h := s.hub
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.closed && s.cursor >= h.next
+}
+
+// isClosed reports whether a done-style channel has been closed; a nil
+// channel never is.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
 }
 
 // Cursor reports the subscription's current position.
@@ -325,8 +333,8 @@ func (s *FrameSub) Cursor() uint64 { return s.cursor }
 
 // Close detaches the subscription.
 func (s *FrameSub) Close() {
-	if !s.closed {
-		s.closed = true
+	if s.gauged {
+		s.gauged = false
 		s.hub.subs.Add(-1)
 	}
 }

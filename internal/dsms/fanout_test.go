@@ -169,7 +169,7 @@ func TestFrameHubTargetedWakeups(t *testing.T) {
 // is never stalled.
 func TestFrameSubObservesFullSequence(t *testing.T) {
 	h := newFrameHub(4)
-	r := &Registered{frames: h}
+	r := &Registered{product: &product{frames: h}}
 	fast := r.SubscribeFrames()
 	defer fast.Close()
 	lag := r.SubscribeFrames()
@@ -229,7 +229,7 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := newFrameHub(4)
-	r := &Registered{frames: h}
+	r := &Registered{product: &product{frames: h}}
 	sub := r.SubscribeFrames()
 	defer sub.Close()
 	var sec int64

@@ -360,13 +360,13 @@ func TestLateSubscribeAfterSourceEnd(t *testing.T) {
 // clients polling NextFrame hung until timeout on a dead query.
 func TestDeliverClosesFramesOnErrorExits(t *testing.T) {
 	mkReg := func(colormap string) *Registered {
-		return &Registered{
+		return &Registered{product: &product{
 			opts:    DeliveryOptions{Colormap: colormap},
 			deliv:   newDeliveryStats(),
 			frames:  newFrameHub(4),
 			series:  newSeriesBuffer(16),
 			stopped: make(chan struct{}),
-		}
+		}}
 	}
 
 	// Exit path 1: setup failure (unknown colormap) before the loop.

@@ -99,6 +99,9 @@ type QueryInfo struct {
 	// Wire carries the push-subscription counters (subscribers, chunks
 	// delivered over GSP, chunks dropped on exhausted credit).
 	Wire *WireStats `json:"wire,omitempty"`
+	// Product names the rendered product the query reads and its exact
+	// encode counters; queries sharing a product report the same digest.
+	Product *ProductInfo `json:"product,omitempty"`
 	// State/Error mirror the query's lifecycle entry on /stats: running,
 	// finished, failed, or panicked, with the terminal error when stopped.
 	State string `json:"state,omitempty"`
@@ -207,6 +210,8 @@ func (s *Server) queryInfo(r *Registered, withStats bool) QueryInfo {
 		qi.Delivery = &ds
 		ws := r.WireStats()
 		qi.Wire = &ws
+		pi := r.ProductInfo()
+		qi.Product = &pi
 		st := r.Status()
 		qi.State, qi.Error = st.State, st.Error
 		if obs, err := query.ExplainObserved(r.Plan, s.Catalog(), r.stats); err == nil {
@@ -320,32 +325,20 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 			}
 			cursor = v
 		}
-		deadline := time.Now().Add(wait)
-		for {
-			cf, next, skipped, st := reg.frames.frameAt(cursor)
-			cursor = next
-			if skipped > 0 {
-				w.Header().Set("X-Geostreams-Shed", strconv.FormatInt(skipped, 10))
-			}
-			if st == frameReady {
-				f, released = cf, cf.Release
-				break
-			}
-			if st == frameClosed {
-				w.Header().Set("X-Geostreams-Cursor", strconv.FormatUint(cursor, 10))
-				w.Header().Set("X-Geostreams-End", "1")
-				w.WriteHeader(http.StatusNoContent)
-				return
-			}
-			rem := time.Until(deadline)
-			if rem <= 0 {
-				w.Header().Set("X-Geostreams-Cursor", strconv.FormatUint(cursor, 10))
-				w.WriteHeader(http.StatusNoContent)
-				return
-			}
-			reg.frames.await(cursor, rem)
+		sub := reg.frameCursor(cursor)
+		cf, ok := sub.Next(wait)
+		if shed := sub.Shed(); shed > 0 {
+			w.Header().Set("X-Geostreams-Shed", strconv.FormatInt(shed, 10))
 		}
-		w.Header().Set("X-Geostreams-Cursor", strconv.FormatUint(cursor, 10))
+		w.Header().Set("X-Geostreams-Cursor", strconv.FormatUint(sub.Cursor(), 10))
+		if !ok {
+			if sub.Ended() {
+				w.Header().Set("X-Geostreams-End", "1")
+			}
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		f, released = cf, cf.Release
 	}
 	defer released()
 	w.Header().Set("Content-Type", "image/png")
@@ -410,6 +403,14 @@ type ServerStats struct {
 	// Store reports per-band historical store telemetry; present only
 	// when a store is mounted (-store-dir).
 	Store []store.BandSnapshot `json:"store,omitempty"`
+	// Products counts the distinct rendered products behind the
+	// registered queries. The encode totals cover every product since the
+	// server started: PNG frames encoded, pixels rendered into them, and
+	// bytes fed to deflate.
+	Products       int   `json:"products"`
+	FramesEncoded  int64 `json:"frames_encoded"`
+	PixelsEncoded  int64 `json:"pixels_encoded"`
+	DeflateBytesIn int64 `json:"deflate_bytes_in"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {

@@ -284,10 +284,10 @@ func (s *Server) Collect(e *obs.Exposition) {
 
 		ds := r.DeliveryStats()
 		e.Counter("geostreams_delivery_frames_total",
-			"PNG frames assembled and queued for the client.",
+			"PNG frames published to this query since it registered (shared by every query on one product).",
 			float64(ds.Frames), q)
 		e.Counter("geostreams_delivery_frame_bytes_total",
-			"Encoded PNG bytes queued for the client.",
+			"Encoded PNG bytes published to this query since it registered.",
 			float64(ds.FrameBytes), q)
 		e.Counter("geostreams_delivery_series_points_total",
 			"Time-series points appended to the client buffer.",

@@ -47,10 +47,13 @@ type Server struct {
 	cancel context.CancelFunc
 	g      *stream.Group
 
-	mu       sync.Mutex
-	catalog  map[string]stream.Info
-	hubs     map[string]*hub
-	queries  map[cascade.QueryID]*Registered
+	mu      sync.Mutex
+	catalog map[string]stream.Info
+	hubs    map[string]*hub
+	queries map[cascade.QueryID]*Registered
+	// products indexes the live joinable products by productKey: a
+	// registration whose key is here becomes a handle on that product.
+	products map[string]*product
 	nextID   cascade.QueryID
 	closed   bool
 	draining bool
@@ -75,6 +78,9 @@ type Server struct {
 	// operator panic, and registrations rejected by admission control.
 	panics   atomic.Int64
 	rejected atomic.Int64
+
+	// encoded totals the encode work of every product since start.
+	encoded encodeCounts
 
 	// hist, when non-nil, is the tiered historical chunk store: every hub
 	// mounts its band at AddSource time and durably sequences each routed
@@ -135,15 +141,16 @@ type Server struct {
 func NewServer(ctx context.Context) *Server {
 	ctx, cancel := context.WithCancel(ctx)
 	s := &Server{
-		ctx:     ctx,
-		cancel:  cancel,
-		g:       stream.NewGroup(ctx),
-		catalog: make(map[string]stream.Info),
-		hubs:    make(map[string]*hub),
-		queries: make(map[cascade.QueryID]*Registered),
-		start:   make(chan struct{}),
-		drain:   make(chan struct{}),
-		started: time.Now(),
+		ctx:      ctx,
+		cancel:   cancel,
+		g:        stream.NewGroup(ctx),
+		catalog:  make(map[string]stream.Info),
+		hubs:     make(map[string]*hub),
+		queries:  make(map[cascade.QueryID]*Registered),
+		products: make(map[string]*product),
+		start:    make(chan struct{}),
+		drain:    make(chan struct{}),
+		started:  time.Now(),
 	}
 	s.registry = obs.NewRegistry()
 	s.registry.Register(obs.CollectorFunc(s.Collect))
@@ -530,6 +537,9 @@ func (s *Server) admit() (release func(), err error) {
 }
 
 // Register parses, validates, optimizes, and launches a continuous query.
+// Under shared execution a query whose product (productKey) is already
+// live becomes a handle on it: no pipeline, encode or frame ring of its
+// own.
 func (s *Server) Register(text string, opts DeliveryOptions) (*Registered, error) {
 	release, err := s.admit()
 	if err != nil {
@@ -558,14 +568,68 @@ func (s *Server) Register(text string, opts DeliveryOptions) (*Registered, error
 	if err != nil {
 		return nil, err
 	}
+	opts = opts.withDefaults(outInfo)
+	// Temporal restriction over the past: with a store mounted, the plan
+	// reads spliced sources — retained history replayed from the first
+	// sector the restriction can reference, handed off to live at the
+	// cursor boundary. Such a scan is positional (per-query cursor), so it
+	// bypasses sharing: no trunk, and no product another query may join.
+	var specs []spliceSpec
+	if histStart, histScan := query.HistoryStart(opt); histScan {
+		if sp, ok := s.spliceSpecs(opt, histStart); ok {
+			specs = sp
+		}
+	}
+	key := productKey(opt, opts)
 
 	s.mu.Lock()
 	s.nextID++
 	id := s.nextID
 	wrap := s.pipelineWrap
 	sharing := s.sharing
+	joinable := sharing != nil && specs == nil
+	// A product whose pipeline just ended is about to leave the map; build
+	// a fresh one rather than join it.
+	if p := s.products[key]; joinable && p != nil && !isClosed(p.stopped) {
+		r := p.newHandle(id, text, opt, outInfo)
+		s.queries[id] = r
+		s.mu.Unlock()
+		release()
+		log.Info("query registered", "query", int64(id), "plan", query.Format(opt),
+			"product", p.digest, "handles", p.handles.Load())
+		return r, nil
+	}
 	s.mu.Unlock()
 
+	p, out, err := s.buildProduct(id, opt, opts, specs, sharing, wrap)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	// A concurrent registration of the same product may have won the
+	// race to publish it; this one then stays private.
+	if cur := s.products[key]; joinable && (cur == nil || isClosed(cur.stopped)) {
+		p.key, p.digest = key, query.ShortSigOf(key)
+		s.products[key] = p
+	} else {
+		p.digest = query.ShortSigOf(fmt.Sprintf("%s#%d", key, id))
+	}
+	r := p.newHandle(id, text, opt, outInfo)
+	s.queries[id] = r
+	s.mu.Unlock()
+	release()
+	log.Info("query registered", "query", int64(id), "plan", query.Format(opt),
+		"bands", len(p.bands), "operators", len(p.stats),
+		"shared_trunks", len(p.shared), "store_scan", specs != nil, "product", p.digest)
+	p.run(out, log)
+	return r, nil
+}
+
+// buildProduct builds a query's pipeline one of three ways — over spliced
+// store sources (specs non-nil), mounted on shared trunks, or private —
+// and wraps it in a product whose delivery stage p.run starts.
+func (s *Server) buildProduct(id cascade.QueryID, opt query.Node, opts DeliveryOptions, specs []spliceSpec,
+	sharing *share.Manager, wrap func(*stream.Group, *stream.Stream) *stream.Stream) (*product, *stream.Stream, error) {
 	qg := stream.NewGroup(s.ctx)
 	var (
 		out        *stream.Stream
@@ -573,34 +637,23 @@ func (s *Server) Register(text string, opts DeliveryOptions) (*Registered, error
 		detach     func()
 		subscribed []string
 		shared     []string
-		storeScan  bool
+		err        error
 	)
-	// Temporal restriction over the past: with a store mounted, the plan
-	// reads spliced sources — retained history replayed from the first
-	// sector the restriction can reference, handed off to live at the
-	// cursor boundary. Bypasses sharing: a historical scan is positional
-	// (per-query cursor), not a common live trunk.
-	if histStart, histScan := query.HistoryStart(opt); histScan {
-		if specs, ok := s.spliceSpecs(opt, histStart); ok {
-			storeScan = true
-			var sources map[string]*stream.Stream
-			sources, detach = spliceStreams(qg, specs)
-			out, stats, err = query.Build(qg, opt, sources)
-			if err != nil {
-				detach()
-				return nil, err
-			}
+	if specs != nil {
+		var sources map[string]*stream.Stream
+		sources, detach = spliceStreams(qg, specs)
+		out, stats, err = query.Build(qg, opt, sources)
+		if err != nil {
+			detach()
+			return nil, nil, err
 		}
-	}
-	if storeScan {
-		// Built above over spliced store sources.
 	} else if sharing != nil {
 		// Shared execution: mount the plan's shareable frontier onto the
 		// trunk DAG and build only the private suffix. Sources feed the
 		// trunks; this query holds no hub subscriptions of its own.
 		out, stats, shared, detach, err = s.buildShared(qg, opt, sharing)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else {
 		// Private execution: subscribe to every band the plan reads,
@@ -623,7 +676,7 @@ func (s *Server) Register(text string, opts DeliveryOptions) (*Registered, error
 			if !ok {
 				s.mu.Unlock()
 				detach()
-				return nil, fmt.Errorf("dsms: no source for band %q", band)
+				return nil, nil, fmt.Errorf("dsms: no source for band %q", band)
 			}
 			sources[band] = h.subscribe(id, rect)
 			subscribed = append(subscribed, band)
@@ -633,7 +686,7 @@ func (s *Server) Register(text string, opts DeliveryOptions) (*Registered, error
 		out, stats, err = query.Build(qg, opt, sources)
 		if err != nil {
 			detach()
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if wrap != nil {
@@ -644,22 +697,19 @@ func (s *Server) Register(text string, opts DeliveryOptions) (*Registered, error
 	// credit-bounded taps that shed instead of stalling the pipeline.
 	out, taps := stream.NewTapSet(qg, out)
 
-	// Wire the query's span recorder into every stage it owns. Trunk
+	// Wire the product's span recorder into every stage it owns. Trunk
 	// stats inside `stats` were already claimed by the shared recorder
 	// when the trunk was built (AttachTrace is first-wins), so only the
-	// private suffix lands in this query's ring.
+	// private suffix lands in this product's ring.
 	rec := s.tracer.Recorder(int64(id))
 	for _, st := range stats {
 		st.AttachTrace(rec)
 	}
 	taps.AttachTrace(rec)
 
-	r := &Registered{
-		ID:      id,
-		Text:    text,
-		Plan:    opt,
-		Info:    outInfo,
-		opts:    opts.withDefaults(outInfo),
+	return &product{
+		traceID: int64(id),
+		opts:    opts,
 		stats:   stats,
 		deliv:   newDeliveryStats(),
 		group:   qg,
@@ -672,66 +722,88 @@ func (s *Server) Register(text string, opts DeliveryOptions) (*Registered, error
 		frames:  newFrameHub(8),
 		series:  newSeriesBuffer(4096),
 		stopped: make(chan struct{}),
-	}
-	s.mu.Lock()
-	s.queries[id] = r
-	s.mu.Unlock()
-	release()
-	log.Info("query registered", "query", int64(id), "plan", query.Format(opt),
-		"bands", len(subscribed), "operators", len(stats),
-		"shared_trunks", len(shared), "store_scan", storeScan)
+	}, out, nil
+}
 
-	// Delivery stage: assemble, encode, enqueue.
-	qg.Go(func(ctx context.Context) error { return r.deliver(ctx, out) })
+// run starts the product's delivery stage (assemble, encode, enqueue) on
+// out and the watcher that records how the pipeline ended.
+func (p *product) run(out *stream.Stream, log *obs.Logger) {
+	s, id := p.server, p.traceID
+	p.group.Go(func(ctx context.Context) error { return p.deliver(ctx, out) })
 	go func() {
-		err := qg.Wait()
+		err := p.group.Wait()
 		var pe *stream.PanicError
 		if errors.As(err, &pe) {
 			// Panic isolation: the query died, the server did not. Count it,
 			// log the stack, and surface it as the query's terminal error.
 			s.panics.Add(1)
-			log.Error("query pipeline panicked", "query", int64(id),
+			log.Error("query pipeline panicked", "query", id,
 				"panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
 		} else if err != nil {
-			log.Error("query pipeline failed", "query", int64(id), "error", err.Error())
+			log.Error("query pipeline failed", "query", id, "error", err.Error())
 		} else {
-			log.Info("query pipeline finished", "query", int64(id))
+			log.Info("query pipeline finished", "query", id)
 		}
-		r.err = err
+		p.err = err
 		// The pipeline is gone (completed, failed, or cancelled): detach
 		// from the data plane — abort still-attached hub subscriptions, or
 		// release the shared-trunk mounts — so nothing feeds a dead query.
-		r.detach()
-		close(r.stopped)
+		p.detach()
+		close(p.stopped)
+		// A later registration of the same product builds a fresh one
+		// rather than joining a finished pipeline.
+		s.mu.Lock()
+		if p.key != "" && s.products[p.key] == p {
+			delete(s.products, p.key)
+		}
+		s.mu.Unlock()
 	}()
-	return r, nil
 }
 
-// Deregister stops a query and detaches it from the hubs.
+// productKey names what a query renders: the fused plan's signature
+// (which includes the stretch) plus the colormap and value range, after
+// defaults. Queries with equal keys deliver byte-identical frames.
+func productKey(plan query.Node, opts DeliveryOptions) string {
+	return fmt.Sprintf("%s|%s|%g|%g", query.Signature(plan), opts.Colormap, opts.VMin, opts.VMax)
+}
+
+// Deregister stops a query. A handle on a product that other queries still
+// read only detaches itself; the last handle tears the product down.
 func (s *Server) Deregister(id cascade.QueryID) error {
 	s.mu.Lock()
 	r, ok := s.queries[id]
+	last := false
 	if ok {
 		delete(s.queries, id)
+		last = r.handles.Add(-1) == 0
+		if last && r.key != "" && s.products[r.key] == r.product {
+			delete(s.products, r.key)
+		}
 	}
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("dsms: no query %d", id)
 	}
-	s.logger().Info("query deregistered", "query", int64(id))
-	// Detaching closes the query's input streams (hub subscriptions,
-	// shared-trunk taps, or store tails), so the pipeline ends and the
-	// wait below returns. Resume shadows are torn down here too — they
-	// survive the primary pipeline's natural end, but not deregistration.
-	r.detach()
+	s.logger().Info("query deregistered", "query", int64(id), "product_released", last)
+	// The handle's viewers end and its resume shadows are torn down —
+	// shadows survive the primary pipeline's natural end, but not
+	// deregistration.
+	close(r.gone)
 	r.closeShadows()
+	if !last {
+		return nil
+	}
+	// Detaching closes the product's input streams (hub subscriptions,
+	// shared-trunk taps, or store tails), so the pipeline ends and the
+	// wait below returns.
+	r.detach()
 	<-r.stopped
-	// The query is gone from every surface; drop its span ring. (A query
+	// The product is gone from every surface; drop its span ring. (A query
 	// whose pipeline merely ended stays inspectable via /trace until it is
 	// deregistered.)
-	s.tracer.Release(int64(id))
+	s.tracer.Release(r.traceID)
 	// Release the frame ring's retained references so pooled PNG backings
-	// go back to the encode pool instead of dangling off the dead query.
+	// go back to the encode pool instead of dangling off the dead product.
 	r.frames.drop()
 	return nil
 }
@@ -782,13 +854,19 @@ func (s *Server) ServerStats() ServerStats {
 	s.mu.Unlock()
 	qs := s.Queries()
 	status := make([]QueryStatus, len(qs))
+	products := make(map[*product]bool, len(qs))
 	for i, r := range qs {
 		status[i] = r.Status()
+		products[r.product] = true
 	}
 	st := ServerStats{
 		Hubs:              s.HubStats(),
 		Queries:           n,
 		QueryStatus:       status,
+		Products:          len(products),
+		FramesEncoded:     s.encoded.frames.Load(),
+		PixelsEncoded:     s.encoded.pixels.Load(),
+		DeflateBytesIn:    s.encoded.deflateIn.Load(),
 		QueryPanics:       s.panics.Load(),
 		AdmissionRejected: s.rejected.Load(),
 		MaxQueries:        maxQ,

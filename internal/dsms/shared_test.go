@@ -20,9 +20,10 @@ func startSharedServer(t *testing.T, sectors int) (*Server, func()) {
 	return s, stop
 }
 
-// TestSharedIdenticalQueriesShareTrunkAndSource: two identical queries run
+// TestSharedIdenticalQueriesShareTrunkAndSource: two identical plans run
 // one trunk, and the band hub carries one subscription (the trunk's), not
-// one per query.
+// one per query. The colormaps differ, so these are two products — two
+// pipelines mounting one trunk — rather than two handles on one product.
 func TestSharedIdenticalQueriesShareTrunkAndSource(t *testing.T) {
 	s, stop := startSharedServer(t, 3)
 	defer stop()
@@ -32,12 +33,15 @@ func TestSharedIdenticalQueriesShareTrunkAndSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Register(q, DeliveryOptions{Colormap: "gray"})
+	r2, err := s.Register(q, DeliveryOptions{Colormap: "thermal"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r1.Status().SharedTrunks) == 0 || len(r2.Status().SharedTrunks) == 0 {
 		t.Fatal("shared queries report no shared trunks")
+	}
+	if r1.product == r2.product {
+		t.Fatal("queries with different colormaps share one product")
 	}
 	if r1.Status().SharedTrunks[0] != r2.Status().SharedTrunks[0] {
 		t.Fatalf("identical queries mounted different trunks: %v vs %v",
@@ -107,7 +111,8 @@ func TestSharedCommutativeTrunks(t *testing.T) {
 
 // TestSharedSuffixPanicIsolation: a panic in one query's private stage
 // kills that query only — its co-mounted twin keeps its trunk and delivers
-// every frame, and no shared trunk dies.
+// every frame, and no shared trunk dies. The twins differ in colormap so
+// they are distinct products, each with its own suffix, over one trunk.
 func TestSharedSuffixPanicIsolation(t *testing.T) {
 	s, stop := startSharedServer(t, 3)
 	defer stop()
@@ -131,11 +136,14 @@ func TestSharedSuffixPanicIsolation(t *testing.T) {
 	s.mu.Unlock()
 	_ = victim
 
-	doomed, err := s.Register(q, DeliveryOptions{Colormap: "gray"})
+	doomed, err := s.Register(q, DeliveryOptions{Colormap: "thermal"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	survivor := victim
+	if a, b := survivor.Status().SharedTrunks, doomed.Status().SharedTrunks; len(a) == 0 || a[0] != b[0] {
+		t.Fatalf("twins do not mount one trunk: %v vs %v", a, b)
+	}
 	s.Start()
 
 	got := 0

@@ -90,12 +90,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 // TraceReport assembles the trace view for one query: the newest `limit`
 // timelines plus the stage breakdown over every span the rings still
-// hold for them.
+// hold for them. Handles on one product share its span ring.
 func (s *Server) TraceReport(reg *Registered, limit int) TraceReport {
-	id := int64(reg.ID)
+	id := reg.traceID
 	recorded, dropped := s.tracer.QueryRingStats(id)
 	rep := TraceReport{
-		Query:          id,
+		Query:          int64(reg.ID),
 		SampleInterval: s.tracer.Interval(),
 		SpansTotal:     recorded,
 		SpansDropped:   dropped,

@@ -76,10 +76,13 @@ func ShortSigOf(sig string) string {
 // Shareable reports whether one plan node may run on a shared trunk.
 // Everything deterministic and stateless-per-subscriber is shareable;
 // deliberately excluded are the frame-buffered stretch (its fit state is
-// per-query product semantics: which frames a subscriber has seen must not
-// depend on co-mounted queries joining or leaving) and the aggregates
-// (large per-query window/series state, usually query-terminal anyway).
-// Unknown node types are conservatively private.
+// product semantics: which frames a subscriber has seen must not depend
+// on co-mounted products joining or leaving) and the aggregates (large
+// window/series state, usually query-terminal anyway). Unknown node types
+// are conservatively private. The exclusion is between distinct plans
+// only: queries whose whole plans have one Signature (and render with one
+// colormap and range) share the entire product, stretch included, as
+// handles on one pipeline in the DSMS.
 func Shareable(n Node) bool {
 	switch n.(type) {
 	case *Source, *RestrictS, *RestrictT, *RestrictV, *MapFn, *Fused,

@@ -71,6 +71,10 @@ func (e *pngEncoder) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
+// PNGDeflateInput is the number of bytes EncodePNG feeds its compressor
+// for a w×h frame: h scanlines of one filter byte plus 4 bytes per pixel.
+func PNGDeflateInput(w, h int) int64 { return int64(h) * int64(4*w+1) }
+
 // EncodePNG writes the image as an 8-bit RGBA PNG using a colormap over
 // [vmin, vmax]. Pixels are exactly Render's: the row is rendered with the
 // same normalization, clamp and NaN → transparent rules, and the
@@ -92,7 +96,7 @@ func (im *Image) EncodePNG(w io.Writer, cm Colormap, vmin, vmax float64) error {
 
 	e.bw.Reset(e)
 	e.zw.Reset(e.bw)
-	n := 4*width + 1
+	n := 4*width + 1 // one row of PNGDeflateInput
 	if cap(e.row) < n {
 		e.row = make([]byte, n)
 	}

@@ -172,6 +172,7 @@ func (m *Manager) Acquire(plan query.Node) (*Mount, error) {
 		return nil, err
 	}
 	tap := root.fan.AddTap()
+	root.fan.Start()
 	return &Mount{
 		Sig:    root.sig,
 		Short:  query.ShortSigOf(root.sig),
@@ -258,6 +259,12 @@ func (m *Manager) acquire(plan query.Node, seen map[query.Node]*node) (*node, er
 			tap := cn.fan.AddTap()
 			n.childTaps = append(n.childTaps, tap)
 			ins[i] = tap.Stream()
+		}
+		// Start the children only once every tap of this node is attached:
+		// a pointer-shared child feeds two of them and both must see its
+		// first chunk. Starting an already running trunk is a no-op.
+		for _, cn := range n.children {
+			cn.fan.Start()
 		}
 		o, st, err := query.BuildOp(g, plan, ins)
 		if err != nil {

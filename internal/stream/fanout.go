@@ -23,11 +23,12 @@ import (
 //     a slow tap exerts backpressure on the trunk, exactly like a slow
 //     consumer of a private pipeline. A tap that detaches while the
 //     broadcaster is blocked on it unblocks the trunk immediately.
-//   - Broadcast holds the first data chunk until the first tap has
-//     attached, so a trunk assembled bottom-up (operators wired, then
-//     tapped) observes a consistent stream start instead of dropping a
-//     prefix. After that, a tap attaching mid-stream sees chunks from its
-//     attach point on — the same contract a late hub subscriber gets.
+//   - Broadcast holds the first chunk until Start is called, so a trunk
+//     assembled bottom-up (operators wired, then every initial tap
+//     attached, then Start) observes a consistent stream start on all of
+//     those taps instead of dropping a prefix on some. After Start, a tap
+//     attaching mid-stream sees chunks from its attach point on — the same
+//     contract a late hub subscriber gets.
 //   - When the input closes (or the group is cancelled) every attached
 //     tap's channel is closed; AddTap afterwards returns an already-ended
 //     tap.
@@ -38,10 +39,10 @@ type Fanout struct {
 	taps   []*Tap
 	closed bool
 
-	// armed is closed when the first tap attaches; broadcast waits on it
-	// so no chunk is dropped while a mount is being assembled.
-	armed     chan struct{}
-	armedOnce sync.Once
+	// started is closed by Start; broadcast waits on it so no chunk is
+	// dropped while the initial taps are being attached.
+	started   chan struct{}
+	startOnce sync.Once
 
 	delivered atomic.Int64
 
@@ -71,11 +72,12 @@ type Tap struct {
 	once sync.Once
 }
 
-// NewFanout starts broadcasting `in` inside the group. The broadcaster
-// goroutine exits when the input closes or the group context ends; either
-// way all attached taps are closed.
+// NewFanout runs the broadcaster for `in` inside the group; it delivers
+// nothing until Start. The broadcaster goroutine exits when the input
+// closes or the group context ends; either way all attached taps are
+// closed.
 func NewFanout(g *Group, in *Stream) *Fanout {
-	f := &Fanout{info: in.Info, armed: make(chan struct{})}
+	f := &Fanout{info: in.Info, started: make(chan struct{})}
 	inC := in.C
 	g.Go(func(ctx context.Context) error {
 		defer f.finish()
@@ -123,9 +125,12 @@ func (f *Fanout) AddTap() *Tap {
 	}
 	f.taps = append(f.taps, t)
 	f.mu.Unlock()
-	f.armedOnce.Do(func() { close(f.armed) })
 	return t
 }
+
+// Start releases the broadcaster. Attach every tap that must see the
+// stream from its first chunk before calling it; Start is idempotent.
+func (f *Fanout) Start() { f.startOnce.Do(func() { close(f.started) }) }
 
 // Stream returns the tap's readable stream.
 func (t *Tap) Stream() *Stream { return t.s }
@@ -172,7 +177,7 @@ func (f *Fanout) reap(t *Tap) {
 // when the group context ended mid-delivery.
 func (f *Fanout) broadcast(ctx context.Context, c *Chunk) bool {
 	select {
-	case <-f.armed:
+	case <-f.started:
 	case <-ctx.Done():
 		c.Release()
 		return false

@@ -38,6 +38,7 @@ func TestFanoutBroadcastsToAllTaps(t *testing.T) {
 	f := NewFanout(g, FromChunks(g, testInfo(), chunks))
 	t1 := f.AddTap()
 	t2 := f.AddTap()
+	f.Start() // both taps attached: each must see chunk 0
 
 	got1c := make(chan []*Chunk, 1)
 	go func() {
@@ -71,6 +72,7 @@ func TestFanoutDetachUnblocksTrunk(t *testing.T) {
 	f := NewFanout(g, FromChunks(g, testInfo(), chunks))
 	stuck := f.AddTap() // never read: fills its buffer and blocks the trunk
 	live := f.AddTap()
+	f.Start()
 
 	done := make(chan []*Chunk, 1)
 	go func() {
@@ -119,6 +121,7 @@ func TestFanoutDetachReleasesBufferedChunks(t *testing.T) {
 	f := NewFanout(g, FromChunks(g, testInfo(), chunks))
 	stuck := f.AddTap() // fills its buffer, then detaches without reading
 	live := f.AddTap()
+	f.Start()
 
 	done := make(chan struct{})
 	go func() {
@@ -139,6 +142,7 @@ func TestFanoutDetachReleasesBufferedChunks(t *testing.T) {
 	g2 := NewGroup(context.Background())
 	f2 := NewFanout(g2, FromChunks(g2, testInfo(), []*Chunk{pooled(100), pooled(101)}))
 	lazy := f2.AddTap()
+	f2.Start()
 	if err := g2.Wait(); err != nil { // both chunks fit the tap buffer; stream ends
 		t.Fatal(err)
 	}
@@ -158,6 +162,7 @@ func TestFanoutAddTapAfterEndIsClosed(t *testing.T) {
 	g := NewGroup(context.Background())
 	f := NewFanout(g, FromChunks(g, testInfo(), fanoutChunks(t, 1)))
 	first := f.AddTap()
+	f.Start()
 	if _, err := Collect(context.Background(), first.Stream()); err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +195,7 @@ func TestFanoutCancelClosesTaps(t *testing.T) {
 	})
 	f := NewFanout(g, src)
 	tap := f.AddTap()
+	f.Start()
 	// Read a few chunks, then cancel the group: the tap must end.
 	for i := 0; i < 3; i++ {
 		if _, ok := <-tap.Stream().C; !ok {
@@ -217,10 +223,11 @@ func TestFanoutHoldsFirstChunkUntilArmed(t *testing.T) {
 	g := NewGroup(context.Background())
 	chunks := fanoutChunks(t, 4)
 	f := NewFanout(g, FromChunks(g, testInfo(), chunks))
-	// No tap yet: the broadcaster must hold, not drop. Attach after a
-	// delay and verify nothing was lost.
+	// Not started: the broadcaster must hold, not drop. Attach and start
+	// after a delay and verify nothing was lost.
 	time.Sleep(20 * time.Millisecond)
 	tap := f.AddTap()
+	f.Start()
 	got, err := Collect(context.Background(), tap.Stream())
 	if err != nil {
 		t.Fatal(err)
@@ -229,6 +236,6 @@ func TestFanoutHoldsFirstChunkUntilArmed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(chunks) {
-		t.Fatalf("first tap saw %d chunks, want %d (prefix dropped before arming?)", len(got), len(chunks))
+		t.Fatalf("first tap saw %d chunks, want %d (prefix dropped before Start?)", len(got), len(chunks))
 	}
 }
