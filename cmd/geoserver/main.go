@@ -33,13 +33,15 @@
 // always traced). -frame-age-slo sets an ingest-to-delivery freshness
 // budget: delivered data chunks older than it burn the per-query
 // geostreams_frame_age_slo_burn_total counter. -store-dir mounts the
-// tiered historical chunk store (§14): every routed chunk is durably
-// sequenced into a per-band in-memory ring that spills to an on-disk
-// segment log, temporal restrictions over the past execute as store
-// scans spliced into live, and push subscribers may redial with
-// ?resume=<cursor>. -history sizes the ring in chunks per band; with
-// -history alone (no -store-dir) the store is memory-only — resume
-// works across the ring's retention, nothing survives a restart.
+// historical chunk store (§14): every routed chunk is sequenced into a
+// per-band on-disk segment log, which is the band's whole history (the
+// OS page cache serves recent reads), temporal restrictions over the
+// past execute as store scans spliced into live, and push subscribers
+// may redial with ?resume=<cursor>. -history sizes the in-memory ring in
+// chunks per band. With -history alone (no -store-dir) the ring is the
+// history — resume works across its retention, nothing survives a
+// restart; with -store-dir the ring only takes over after a disk write
+// fails.
 // -debug mounts net/http/pprof under /debug/pprof/. Try:
 //
 //	curl localhost:8080/catalog
@@ -130,7 +132,7 @@ func main() {
 	rateBurst := flag.Float64("rate-limit-burst", 10,
 		"per-client burst for -rate-limit")
 	history := flag.Int("history", 0,
-		"historical ring size in chunks per band (0 = store disabled unless -store-dir is set; low values clamp up to the ring floor)")
+		"in-memory history ring size in chunks per band: the whole history without -store-dir, the disk-failure fallback with it, where the segment log is the history (0 = store disabled unless -store-dir is set; low values clamp up to the ring floor)")
 	flag.Parse()
 
 	if *parallelism > 0 {

@@ -175,7 +175,7 @@ func (s *Server) Collect(e *obs.Exposition) {
 				"Oldest store sequence still retained (0 = empty band).",
 				float64(bs.OldestSeq), band)
 			e.Gauge("geostreams_store_ring_chunks",
-				"Chunks held in the in-memory history ring.",
+				"Chunks held in the in-memory history ring (memory-only bands, or after a disk write failure).",
 				float64(bs.RingChunks), band)
 			e.Gauge("geostreams_store_ring_bytes",
 				"Encoded bytes held in the in-memory history ring.",
@@ -184,7 +184,7 @@ func (s *Server) Collect(e *obs.Exposition) {
 				"On-disk segment-log files for this band.",
 				float64(bs.Segments), band)
 			e.Gauge("geostreams_store_disk_bytes",
-				"Bytes in the band's on-disk segment log.",
+				"Bytes in the band's segment log, buffered ones included.",
 				float64(bs.DiskBytes), band)
 			e.Gauge("geostreams_store_live_tails",
 				"Replay tails currently attached to the live feed.",
@@ -211,7 +211,7 @@ func (s *Server) Collect(e *obs.Exposition) {
 				"Replays refused because the cursor fell below the eviction horizon.",
 				float64(bs.Truncated), band)
 			e.Counter("geostreams_store_disk_errors_total",
-				"Segment-log write failures (the ring kept serving).",
+				"Segment-log write failures (the ring took over the band's history).",
 				float64(bs.DiskErrors), band)
 		}
 	}

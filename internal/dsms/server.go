@@ -209,9 +209,9 @@ func (s *Server) SetMaxQueries(n int) {
 	s.maxQueries = n
 }
 
-// SetStore mounts a tiered historical chunk store. Every band attached
-// after this call durably sequences its routed chunks through the store
-// (bounded delta-encoded ring spilling to an on-disk segment log); plans
+// SetStore mounts a historical chunk store. Every band attached after
+// this call sequences its routed chunks through the store (an on-disk
+// segment log, or a bounded delta-encoded ring when memory-only); plans
 // with temporal restrictions over the past execute as store scans spliced
 // into live delivery; push subscribers gain ?cursors=1/?resume=<cursor>
 // on GET /queries/{id}/stream. Call before AddSource — bands attached

@@ -23,8 +23,7 @@ import (
 // registered before the first sector, including punctuation order.
 
 // startOrgServer is startServer with a configurable point organization
-// and an optional historical store (ring sized to force or avoid disk
-// spill).
+// and an optional historical store.
 func startOrgServer(t *testing.T, sectors int, org stream.Organization, st *store.Store) (*Server, func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -224,44 +223,59 @@ func waitStoreSealed(t *testing.T, st *store.Store, bands ...string) {
 // temporal restriction over the past, executing from the store after the
 // fact is bit-identical to having subscribed from the start — same value
 // bits at the same points, same punctuation order — under both chunk
-// organizations, from the ring tier and across the disk spill.
+// organizations, from a memory-only store's ring and from a segment log.
 func TestStoreReplayEqualsLiveProperty(t *testing.T) {
 	trials := 8
 	if testing.Short() {
 		trials = 3
 	}
-	// Disk configs clamp the ring to its floor (128 chunks) and push
-	// enough sectors through to force eviction, so replay crosses the
-	// ring/disk tier boundary; ring configs stay entirely in memory.
+	// Ring configs mount a memory-only store. Disk configs mount a segment
+	// log with small segments, so replay crosses many sealed segments;
+	// the log is their whole history, with nothing in the ring.
 	for _, cfg := range []struct {
 		name    string
 		org     stream.Organization
-		ring    int
+		disk    bool
 		sectors int
 	}{
-		{"row-by-row/ring", stream.RowByRow, 0, 3},
-		{"row-by-row/disk", stream.RowByRow, 1, 8},
-		{"image-by-image/ring", stream.ImageByImage, 0, 3},
-		{"image-by-image/disk", stream.ImageByImage, 1, 70},
+		{"row-by-row/ring", stream.RowByRow, false, 3},
+		{"row-by-row/disk", stream.RowByRow, true, 8},
+		{"image-by-image/ring", stream.ImageByImage, false, 3},
+		{"image-by-image/disk", stream.ImageByImage, true, 70},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(0x9E0 + cfg.ring + int(cfg.org))))
+			seed := int64(0x9E0 + int(cfg.org))
+			if cfg.disk {
+				seed++
+			}
+			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < trials; i++ {
 				q := fmt.Sprintf("tselect(%s, interval(0, 99))",
 					query.RandPlanText(rng, true))
 				ref := runLiveFingerprint(t, q, cfg.org, cfg.sectors)
 
-				st, err := store.Open(store.Options{Dir: t.TempDir(), RingChunks: cfg.ring})
+				opts := store.Options{}
+				if cfg.disk {
+					opts = store.Options{Dir: t.TempDir(), SegmentBytes: 16 << 10}
+				}
+				st, err := store.Open(opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				srv, stop := startOrgServer(t, cfg.sectors, cfg.org, st)
 				got := runStoreFingerprint(t, srv, st, q)
-				if cfg.ring == 1 {
-					if b, ok := st.Lookup("vis"); !ok || b.Snapshot().Evicted == 0 {
-						t.Fatalf("disk config never evicted from the ring")
+				if cfg.disk {
+					var replayed int64
+					for _, snap := range st.Snapshot() {
+						if snap.RingChunks != 0 {
+							t.Fatalf("band %s kept %d ring chunks beside its segment log", snap.Band, snap.RingChunks)
+						}
+						replayed += snap.Replayed
+					}
+					if replayed == 0 {
+						t.Fatal("no record was replayed from the segment log")
 					}
 				}
 				stop()

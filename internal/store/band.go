@@ -2,6 +2,8 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,7 +55,8 @@ type mark struct {
 }
 
 const (
-	// replayBatch is how many records a tail decodes per store read.
+	// replayBatch is about how many records a tail decodes per store
+	// read; log reads round it up to whole sector spans.
 	replayBatch = 64
 	// liveTailBuf is a live tail's buffered chunk budget; overflowing it
 	// detaches the tail, which falls back to store replay (never a gap).
@@ -65,12 +68,15 @@ const (
 	maxMarks = 1 << 16
 )
 
-// Band is one band's tiered history: the delta-encoded in-memory ring of
-// recent chunks, the optional on-disk segment log underneath it, and the
-// live tails currently attached. Every chunk the hub routes is appended
-// here first, which assigns its monotonic sequence number; Append and
-// the hub's route run on the same goroutine, so a chunk is durably
-// sequenced before any subscriber can observe it.
+// Band is one band's history and the live tails currently attached.
+// With a segment log, the log is the whole history: records are written
+// once, in sector-sized batches, and replay reads them back through the
+// OS page cache. The delta-encoded in-memory ring holds the history of a
+// memory-only band, and of a logged band from its first failed disk
+// write on. Every chunk the hub routes is appended here first, which
+// assigns its monotonic sequence number; Append and the hub's route run
+// on the same goroutine, so a chunk is sequenced before any subscriber
+// can observe it.
 type Band struct {
 	name string
 	opts Options
@@ -108,11 +114,14 @@ type Band struct {
 	diskErrs     atomic.Int64
 }
 
-// Append durably sequences one chunk: raw-encodes it (bit-exact wire
-// encoding), writes through to the segment log, stores the delta (or
-// raw) form in the ring, and hands the live chunk to attached tails. It
-// returns the chunk's sequence number. The chunk is not mutated and the
-// caller keeps its reference.
+// logging reports whether the segment log is the band's history.
+func (b *Band) logging() bool { return b.seg != nil && !b.seg.failed }
+
+// Append sequences one chunk: raw-encodes it (bit-exact wire encoding)
+// and buffers it in the segment log, or stores its delta (or raw) form
+// in the ring when the band has no working log, then hands the live
+// chunk to attached tails. It returns the chunk's sequence number. The
+// chunk is not mutated and the caller keeps its reference.
 func (b *Band) Append(c *stream.Chunk) uint64 {
 	b.mu.Lock()
 	raw, err := wire.AppendChunk(b.scratchRaw[:0], c)
@@ -138,18 +147,42 @@ func (b *Band) Append(c *stream.Chunk) uint64 {
 		b.eosMarks = pushMark(b.eosMarks, mark{t: t, seq: seq})
 	}
 
-	// Disk tier: write-through, raw, fsync batched per segment.
-	if b.seg != nil {
-		if err := b.seg.append(seq, t, kind, raw); err != nil {
-			b.diskErrs.Add(1)
-			b.log.Error("segment append failed; disk tier disabled, ring keeps serving",
-				"band", b.name, "seq", int64(seq), "error", err.Error())
+	if !b.logging() {
+		b.appendRingLocked(seq, t, kind, raw, c)
+	} else if err := b.seg.append(seq, t, kind, raw); err != nil {
+		if !b.diskFailedLocked(err, seq) {
+			b.appendRingLocked(seq, t, kind, raw, c)
 		}
 	}
 
-	// Ring tier: delta against the previous grid when it pays, raw
-	// keyframe otherwise (low correlation, shape change, chain too long,
-	// or a non-grid chunk).
+	// Live tails: one retained reference per tail; a tail whose buffer is
+	// full is detached (it falls back to store replay — the store has the
+	// chunk, so laggards lose time, never data).
+	for i := 0; i < len(b.tails); {
+		tl := b.tails[i]
+		c.Retain()
+		select {
+		case tl.live <- Item{Seq: seq, C: c}:
+			i++
+		default:
+			c.Release()
+			tl.attached = false
+			b.tails = append(b.tails[:i], b.tails[i+1:]...)
+			close(tl.live)
+			b.tailLags.Add(1)
+		}
+	}
+	b.appended.Add(1)
+	b.mu.Unlock()
+	return seq
+}
+
+// appendRingLocked stores one record in the ring: delta against the
+// previous grid when it pays, raw keyframe otherwise (low correlation,
+// shape change, chain too long, or a non-grid chunk). c supplies the
+// next delta base; nil (a record moved off a failed log) makes the next
+// grid a keyframe.
+func (b *Band) appendRingLocked(seq uint64, t int64, kind byte, raw []byte, c *stream.Chunk) {
 	e := entry{seq: seq, t: t, kind: kind}
 	nvals := 0
 	if kind == wireKindGrid {
@@ -177,31 +210,28 @@ func (b *Band) Append(c *stream.Chunk) uint64 {
 	b.ring = append(b.ring, e)
 	b.ringBytes += int64(len(e.data))
 	if kind == wireKindGrid {
-		b.prevVals = append(b.prevVals[:0], c.Grid.Vals...)
-		b.havePrev = true
+		if c != nil {
+			b.prevVals = append(b.prevVals[:0], c.Grid.Vals...)
+		}
+		b.havePrev = c != nil
 	}
 	b.evictLocked()
+}
 
-	// Live tails: one retained reference per tail; a tail whose buffer is
-	// full is detached (it falls back to store replay — the store has the
-	// chunk, so laggards lose time, never data).
-	for i := 0; i < len(b.tails); {
-		tl := b.tails[i]
-		c.Retain()
-		select {
-		case tl.live <- Item{Seq: seq, C: c}:
-			i++
-		default:
-			c.Release()
-			tl.attached = false
-			b.tails = append(b.tails[:i], b.tails[i+1:]...)
-			close(tl.live)
-			b.tailLags.Add(1)
-		}
+// diskFailedLocked disables the segment log after a write error. The
+// records that never fully reached the file move to the ring as raw
+// entries, so no sequenced record becomes unreadable; later records go
+// to the ring directly. It reports whether seq was among those moved.
+func (b *Band) diskFailedLocked(err error, seq uint64) bool {
+	b.diskErrs.Add(1)
+	b.log.Error("segment write failed; disk tier disabled, ring keeps serving",
+		"band", b.name, "seq", int64(seq), "error", err.Error())
+	moved := false
+	for _, r := range b.seg.takeUnwritten() {
+		b.appendRingLocked(r.Seq, r.T, r.Kind, r.Payload, nil)
+		moved = moved || r.Seq == seq
 	}
-	b.appended.Add(1)
-	b.mu.Unlock()
-	return seq
+	return moved
 }
 
 func pushMark(ms []mark, m mark) []mark {
@@ -254,7 +284,10 @@ func (b *Band) SealLive() {
 		close(tl.live)
 	}
 	b.tails = nil
-	if b.seg != nil {
+	if b.logging() {
+		if err := b.seg.flush(); err != nil {
+			b.diskFailedLocked(err, 0)
+		}
 		b.seg.sync()
 	}
 	b.mu.Unlock()
@@ -294,6 +327,15 @@ func (b *Band) oldestLocked() uint64 {
 	return 0
 }
 
+// holdsLocked reports whether seq lies within retained history: in the
+// segment log, or at or after the ring's oldest entry.
+func (b *Band) holdsLocked(seq uint64) bool {
+	if b.seg != nil && b.seg.holds(seq) {
+		return true
+	}
+	return len(b.ring) > 0 && seq >= b.ring[0].seq
+}
+
 // Resumable reports whether a tail from `after` can be served without a
 // retention gap.
 func (b *Band) Resumable(after uint64) bool {
@@ -302,8 +344,7 @@ func (b *Band) Resumable(after uint64) bool {
 	if after >= b.nextSeq-1 {
 		return true // at (or past) the live edge: nothing to replay
 	}
-	oldest := b.oldestLocked()
-	return oldest != 0 && after+1 >= oldest
+	return b.holdsLocked(after + 1)
 }
 
 // CursorAt returns the sequence number of sector t's end-of-sector
@@ -339,68 +380,108 @@ type replayRec struct {
 	c   *stream.Chunk
 }
 
-// readAfter decodes up to maxN records with seq > after. It returns an
+// readAfter decodes about maxN records with seq > after: from the
+// segment log in whole sector spans, or from the ring. It returns an
 // empty slice when the tail is caught up to the live edge, ErrTruncated
-// when the resume point predates retention. The caller owns one
-// reference on each returned chunk.
-func (b *Band) readAfter(after uint64, maxN int) ([]replayRec, error) {
+// when the resume point predates retention. buf is the caller's reused
+// read buffer. The caller owns one reference on each returned chunk.
+func (b *Band) readAfter(after uint64, maxN int, buf *[]byte) ([]replayRec, error) {
 	b.mu.Lock()
 	if after >= b.nextSeq-1 {
 		b.mu.Unlock()
 		return nil, nil
 	}
 	target := after + 1
-	oldest := b.oldestLocked()
-	if oldest == 0 || target < oldest {
+	if b.seg != nil && b.seg.holds(target) {
+		// The log: write out the buffer if the target is still in it, then
+		// read outside the lock — written bytes never change.
+		if err := b.seg.flushThrough(target); err != nil {
+			b.diskFailedLocked(err, 0)
+		}
+		if b.seg.holds(target) {
+			spans := b.seg.spansAfter(after, maxN)
+			b.mu.Unlock()
+			return b.readSpans(spans, after, buf)
+		}
+	}
+	if len(b.ring) == 0 || target < b.ring[0].seq {
 		b.mu.Unlock()
 		b.truncated.Add(1)
 		return nil, ErrTruncated
 	}
-	// Ring first: it is cheaper and holds the most recent history. Ring
-	// sequences are contiguous (every append lands one entry).
-	if len(b.ring) > 0 && target >= b.ring[0].seq {
-		pos := int(target - b.ring[0].seq)
-		// Decode must start at the chain base: the nearest raw-grid
-		// keyframe at or before pos. Entries after pos may be deltas whose
-		// chain runs back through pos, so the walk-back cannot stop early
-		// even when pos itself is self-contained; if no grid precedes pos
-		// at all, sequential decode from 0 meets a raw grid before any
-		// delta (the eviction invariant).
-		cs := pos
-		for cs > 0 && !(b.ring[cs].isGrid() && b.ring[cs].enc == recRaw) {
-			cs--
-		}
-		n := pos + maxN
-		if n > len(b.ring) {
-			n = len(b.ring)
-		}
-		ents := make([]entry, n-cs)
-		copy(ents, b.ring[cs:n])
-		b.mu.Unlock()
-		return b.decodeEntries(ents, after)
+	// The ring: sequences are contiguous (every append lands one entry).
+	// Decode must start at the chain base: the nearest raw-grid keyframe at
+	// or before pos. Entries after pos may be deltas whose chain runs back
+	// through pos, so the walk-back cannot stop early even when pos itself
+	// is self-contained; if no grid precedes pos at all, sequential decode
+	// from 0 meets a raw grid before any delta (the eviction invariant).
+	pos := int(target - b.ring[0].seq)
+	cs := pos
+	for cs > 0 && !(b.ring[cs].isGrid() && b.ring[cs].enc == recRaw) {
+		cs--
 	}
-	// Disk tier.
-	if b.seg == nil {
-		b.mu.Unlock()
-		b.truncated.Add(1)
-		return nil, ErrTruncated
+	n := pos + maxN
+	if n > len(b.ring) {
+		n = len(b.ring)
 	}
-	refs := b.seg.lookupAfter(after, maxN)
+	ents := make([]entry, n-cs)
+	copy(ents, b.ring[cs:n])
 	b.mu.Unlock()
-	out := make([]replayRec, 0, len(refs))
-	var buf []byte
-	for _, r := range refs {
-		payload, err := r.readPayload(buf)
-		if err != nil {
-			releaseRecs(out)
-			return nil, err
+	return b.decodeEntries(ents, after)
+}
+
+// readSpans reads planned log spans, one ReadAt each into *buf, and
+// decodes their CRC-checked records with seq > after, in order.
+func (b *Band) readSpans(spans []span, after uint64, buf *[]byte) ([]replayRec, error) {
+	var (
+		out  []replayRec
+		f    *os.File
+		path string
+	)
+	defer func() {
+		if f != nil {
+			f.Close() //nolint:errcheck
 		}
-		c, err := wire.DecodeChunkPooled(payload)
-		if err != nil {
-			releaseRecs(out)
-			return nil, err
+	}()
+	fail := func(err error) ([]replayRec, error) {
+		releaseRecs(out)
+		return nil, err
+	}
+	last := after
+	for _, sp := range spans {
+		if sp.path != path {
+			if f != nil {
+				f.Close() //nolint:errcheck
+			}
+			var err error
+			if f, err = os.Open(sp.path); err != nil {
+				return fail(err)
+			}
+			path = sp.path
 		}
-		out = append(out, replayRec{seq: r.e.seq, c: c})
+		n := int(sp.end - sp.off)
+		if cap(*buf) < n {
+			*buf = make([]byte, n)
+		}
+		p := (*buf)[:n]
+		if _, err := f.ReadAt(p, sp.off); err != nil {
+			return fail(err)
+		}
+		recs, _, _ := ScanRecords(p)
+		for _, r := range recs {
+			if r.Seq <= last {
+				continue // before the resume point, or a duplicate
+			}
+			c, err := wire.DecodeChunkPooled(r.Payload)
+			if err != nil {
+				return fail(err)
+			}
+			out = append(out, replayRec{seq: r.Seq, c: c})
+			last = r.Seq
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("store: band %q: no readable record after seq %d in the segment log", b.name, after)
 	}
 	b.replayed.Add(int64(len(out)))
 	return out, nil
@@ -484,7 +565,8 @@ type Tail struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	last     uint64
-	attached bool // guarded by b.mu
+	rbuf     []byte // segment read buffer
+	attached bool   // guarded by b.mu
 	err      error
 	errMu    sync.Mutex
 }
@@ -536,7 +618,7 @@ func (t *Tail) run() {
 			return
 		default:
 		}
-		recs, err := t.b.readAfter(t.last, replayBatch)
+		recs, err := t.b.readAfter(t.last, replayBatch, &t.rbuf)
 		if err != nil {
 			t.setErr(err)
 			return

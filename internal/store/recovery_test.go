@@ -147,13 +147,13 @@ func TestRecoveryRejectsCorruptSidecar(t *testing.T) {
 	if len(idxs) != 1 {
 		t.Fatalf("want 1 sidecar, got %d", len(idxs))
 	}
-	// Corrupt the last entry's record offset so the sidecar disagrees
-	// with the data file.
+	// Corrupt the last sector entry's record offset (the low byte of the
+	// u64 after seq and last) so the sidecar disagrees with the data file.
 	raw, err := os.ReadFile(idxs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)-idxEntryLen+15] ^= 0xFF
+	raw[len(raw)-idxEntryLen+8+8+7] ^= 0xFF
 	if err := os.WriteFile(idxs[0], raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
-// Package store is the tiered historical chunk store behind the hub:
-// every routed chunk is durably sequenced with a monotonic per-band
-// cursor (band, seq) into a bounded in-memory ring of recent history —
-// delta-encoded against the previous frame, raw fallback for
-// low-correlation frames — spilling to an embedded on-disk segment log
-// (append-only record files with an index sidecar, fsync batched per
-// segment). Tails stream a band from any retained sequence through the
-// stored history and then live, exactly once, which is what temporal
+// Package store is the historical chunk store behind the hub: every
+// routed chunk is sequenced with a monotonic per-band cursor (band, seq)
+// into the band's history. With a directory, the history is an embedded
+// on-disk segment log (append-only record files with a per-sector index
+// sidecar, written in sector-sized batches, fsync batched per segment),
+// and the OS page cache is its hot tier. Without one — or after a disk
+// write failure — it is a bounded in-memory ring, delta-encoded against
+// the previous frame with a raw fallback for low-correlation frames.
+// Tails stream a band from any retained sequence through the stored
+// history and then live, exactly once, which is what temporal
 // restrictions over the past and resumable subscriptions are built on.
 package store
 
@@ -36,10 +38,12 @@ const (
 // Options configures a Store.
 type Options struct {
 	// Dir is the segment-log directory; empty means memory-only (the ring
-	// is the whole retention window). Each band gets a subdirectory.
+	// is the whole retention window). Each band gets a subdirectory, and
+	// its log is its whole history.
 	Dir string
 	// RingChunks bounds each band's in-memory ring (chunks, not bytes);
-	// DefaultRingChunks if zero, clamped to at least minRingChunks.
+	// DefaultRingChunks if zero, clamped to at least minRingChunks. With
+	// Dir set the ring holds only what arrives after a disk write failure.
 	RingChunks int
 	// KeyframeEvery forces a raw keyframe after this many consecutive
 	// delta-encoded grids; DefaultKeyframeEvery if zero.
@@ -153,7 +157,8 @@ func (s *Store) Bands() []string {
 	return out
 }
 
-// Close seals every band and syncs and closes their segment logs.
+// Close seals every band, then writes out, syncs, indexes and closes
+// their segment logs.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	bands := make([]*Band, 0, len(s.bands))
@@ -186,8 +191,8 @@ func (b *Band) rebuildMarksFromDisk() {
 				lastT = e.t
 				b.sectorStarts = pushMark(b.sectorStarts, mark{t: e.t, seq: e.seq})
 			}
-			if e.kind == wireKindEOS {
-				b.eosMarks = pushMark(b.eosMarks, mark{t: e.t, seq: e.seq})
+			if e.eos {
+				b.eosMarks = pushMark(b.eosMarks, mark{t: e.t, seq: e.last})
 			}
 		}
 	}
@@ -262,7 +267,7 @@ func (b *Band) Snapshot() BandSnapshot {
 	}
 	if b.seg != nil {
 		s.Segments = len(b.seg.segs)
-		s.DiskBytes = b.seg.diskBytes()
+		s.DiskBytes = b.seg.logBytes()
 		s.Recovery = b.seg.recovery
 	}
 	return s

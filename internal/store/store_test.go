@@ -132,8 +132,8 @@ func TestRingReplayBitIdentical(t *testing.T) {
 }
 
 func TestDiskReplayBitIdentical(t *testing.T) {
-	// Small segments force several rolls; the ring holds only the recent
-	// tail, so the early history must come back from disk.
+	// Small segments force several rolls; with a segment log the log is
+	// the whole history, so every record must come back from disk.
 	b := openTestBand(t, Options{
 		Dir: t.TempDir(), RingChunks: 1, SegmentBytes: 4 << 10,
 	})
@@ -146,13 +146,16 @@ func TestDiskReplayBitIdentical(t *testing.T) {
 	if snap.Segments < 2 {
 		t.Fatalf("expected several segments, got %d", snap.Segments)
 	}
-	if snap.Evicted == 0 {
-		t.Fatal("ring never evicted; disk path not exercised")
+	if snap.RingChunks != 0 || snap.RingBytes != 0 {
+		t.Fatalf("disk band kept a heap copy: %d ring chunks, %d bytes", snap.RingChunks, snap.RingBytes)
 	}
 	b.SealLive()
 	got := collectAll(t, b.Tail(0), 0)
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d chunks, want %d", len(got), len(want))
+	}
+	if r := b.Snapshot().Replayed; r != int64(len(want)) {
+		t.Fatalf("replayed %d records from segments, want %d", r, len(want))
 	}
 	for i := range got {
 		if !bytes.Equal(got[i], want[i]) {
