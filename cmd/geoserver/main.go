@@ -7,7 +7,7 @@
 //	geoserver [-addr :8080] [-goes] [-subsat -75]
 //	          [-region "-122,36,-120,38"] [-w 256] [-h 192]
 //	          [-sectors 0] [-interval 2s] [-seed 42]
-//	          [-max-queries 0] [-drain-timeout 10s] [-share] [-cascade]
+//	          [-max-queries 0] [-drain-timeout 10s] [-share]
 //	          [-ingest :9090] [-local=false]
 //	          [-store-dir /var/lib/geostreams] [-history 4096]
 //	          [-trace-sample 64] [-frame-age-slo 0]
@@ -23,25 +23,23 @@
 // gracefully: registration stops, queued chunks flush to their queries,
 // and pipelines get up to -drain-timeout to finish before being
 // cancelled. -share (default on) runs common subplans of concurrent
-// queries once on shared trunks; -share=false keeps every query fully
-// private. -cascade (default on, requires -share) routes pushed-down
-// rectangular crops through a per-band shared cascade index: each chunk
-// is probed once against every registered query rect instead of scanned
-// per query; -cascade=false falls back to one private trunk per distinct
-// crop. -trace-sample tunes chunk tracing (1 in N data chunks get a
-// full span timeline, visible at GET /queries/{id}/trace; punctuation is
-// always traced). -frame-age-slo sets an ingest-to-delivery freshness
-// budget: delivered data chunks older than it burn the per-query
-// geostreams_frame_age_slo_burn_total counter. -store-dir mounts the
-// historical chunk store (§14): every routed chunk is sequenced into a
-// per-band on-disk segment log, which is the band's whole history (the
-// OS page cache serves recent reads), temporal restrictions over the
-// past execute as store scans spliced into live, and push subscribers
-// may redial with ?resume=<cursor>. -history sizes the in-memory ring in
-// chunks per band. With -history alone (no -store-dir) the ring is the
-// history — resume works across its retention, nothing survives a
-// restart; with -store-dir the ring only takes over after a disk write
-// fails.
+// queries once on shared trunks, and routes pushed-down rectangular crops
+// through a per-band shared cascade index: each chunk is probed once
+// against every registered query rect instead of scanned per query;
+// -share=false keeps every query fully private. -trace-sample tunes chunk
+// tracing (1 in N data chunks get a full span timeline, visible at GET
+// /queries/{id}/trace; punctuation is always traced). -frame-age-slo sets
+// an ingest-to-delivery freshness budget: delivered data chunks older
+// than it burn the per-query geostreams_frame_age_slo_burn_total counter.
+// -store-dir mounts the historical chunk store (§14): every routed chunk
+// is sequenced into a per-band on-disk segment log, which is the band's
+// whole history (the OS page cache serves recent reads), temporal
+// restrictions over the past execute as store scans spliced into live,
+// and push subscribers may redial with ?resume=<cursor>. -history sizes
+// the in-memory ring in chunks per band. With -history alone (no
+// -store-dir) the ring is the history — resume works across its
+// retention, nothing survives a restart; with -store-dir the ring only
+// takes over after a disk write fails.
 // -debug mounts net/http/pprof under /debug/pprof/. Try:
 //
 //	curl localhost:8080/catalog
@@ -111,8 +109,6 @@ func main() {
 	debug := flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 	shareQueries := flag.Bool("share", true,
 		"shared multi-query execution: common subplans run once on shared trunks")
-	cascadeRouting := flag.Bool("cascade", true,
-		"shared spatial-restriction routing: pushed-down crops register in a per-band cascade index and each chunk is routed once (requires -share)")
 	parallelism := flag.Int("parallelism", 0,
 		"worker count for data-parallel grid kernels (0 = GOMAXPROCS; overrides GEOSTREAMS_PARALLELISM)")
 	ingest := flag.String("ingest", "",
@@ -166,7 +162,6 @@ func main() {
 	srv.SetDebug(*debug)
 	srv.SetMaxQueries(*maxQueries)
 	srv.SetSharing(*shareQueries)
-	srv.SetCascadeRouting(*cascadeRouting)
 	if *traceSample != 0 {
 		srv.SetTraceInterval(*traceSample)
 	}

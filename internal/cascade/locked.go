@@ -9,9 +9,8 @@ import (
 // Locked wraps any Index with an RWMutex, making it safe for the access
 // pattern live routing produces: Insert/Remove from query register and
 // deregister handlers racing Stab/Probe from the chunk-routing goroutine.
-// None of the bare implementations lock (they are also used single-threaded
-// in experiments, where locking would distort the comparison), so every
-// concurrently shared index must go through this wrapper.
+// The bare implementations do not lock, so every concurrently shared index
+// must go through this wrapper.
 //
 // Probes take the read lock, so routing scales across concurrent readers;
 // mutations are exclusive.
@@ -23,14 +22,6 @@ type Locked struct {
 // NewLocked wraps idx. The wrapped index must not be used directly while
 // the wrapper is live.
 func NewLocked(idx Index) *Locked { return &Locked{idx: idx} }
-
-// Name reports the wrapped implementation's name: the wrapper is
-// behaviorally transparent.
-func (l *Locked) Name() string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.idx.Name()
-}
 
 func (l *Locked) Len() int {
 	l.mu.RLock()

@@ -62,8 +62,7 @@ func NewTree() *Tree {
 	}
 }
 
-func (t *Tree) Name() string { return "cascade-tree" }
-func (t *Tree) Len() int     { return len(t.byID) + len(t.empty) }
+func (t *Tree) Len() int { return len(t.byID) + len(t.empty) }
 
 // Insert registers a region, splitting and rebuilding as needed.
 func (t *Tree) Insert(id QueryID, r geom.Rect) {

@@ -97,8 +97,8 @@ func (f AggFunc) reduce(vals []float64) float64 {
 // TemporalAggregate computes, per lattice cell, an aggregate over the last
 // Window sector frames: out(s, t) = f({G(s, t'), t' ∈ last Window
 // sectors}). One aggregated frame is emitted per completed sector, so the
-// operator's space complexity is Window × frame — the scaling experiment
-// E9 measures.
+// operator's space complexity is Window × frame — the scaling
+// TestTemporalAggregateMean pins.
 //
 // The operator requires sector punctuation (it assembles each sector into
 // a frame before pushing it into the window) and a grid organization.

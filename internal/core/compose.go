@@ -22,8 +22,8 @@ import (
 //   - Points combine only when they "match in the spatial dimension and in
 //     the timestamp". Chunks pair by (timestamp, lattice); with
 //     measurement-time stamping the timestamps of two spectral scans never
-//     coincide and the operator produces nothing (experiment E6 measures
-//     the match rate under both stamping policies).
+//     coincide and the operator produces nothing
+//     (TestComposeMeasurementTimeNeverMatches).
 //   - Buffering depends on the point organization: a row-by-row stream
 //     needs only the unmatched rows of one scan (≈ one row when the two
 //     streams interleave), while an image-by-image stream buffers a whole

@@ -8,8 +8,8 @@ import (
 
 // CostClass is the space-complexity class of an operator, as analyzed in
 // §3 of the paper. The planner uses it to order rewrites and EXPLAIN
-// renders it to users; the experiment harness checks the measured peak
-// buffers against these predictions.
+// renders it to users; the operator tests pin measured peak buffers that
+// match these classes.
 type CostClass int
 
 const (

@@ -20,7 +20,7 @@ import (
 //	      └─(+)──┘
 //
 // The returned stats are the three composition operators' instances
-// (sub, add, div), whose buffering the E6 experiment inspects.
+// (sub, add, div), whose buffering the compose tests inspect.
 func BuildNDVI(g *stream.Group, nir, vis *stream.Stream) (*stream.Stream, []*stream.Stats, error) {
 	nirT := stream.Tee(g, nir, 2)
 	visT := stream.Tee(g, vis, 2)

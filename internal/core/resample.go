@@ -61,7 +61,7 @@ func ParseInterp(s string) (InterpKind, error) {
 //     point), emits each output row as soon as its sources have arrived,
 //     and frees source rows no longer needed by any future output row —
 //     the peak buffer shrinks to the working band of the mapping.
-//     Experiment E5 measures exactly this difference.
+//     TestResampleProgressiveUsesLessBuffer pins this difference.
 type Resample struct {
 	// MapOutToIn is f_spat : Y → X in the coordinates of the two CRSs; it
 	// returns an error for unmappable points (out of projection domain),

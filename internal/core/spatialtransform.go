@@ -100,7 +100,7 @@ func (op ZoomIn) Run(ctx context.Context, in <-chan *stream.Chunk, out chan<- *s
 // 2a): each output point is the mean of a k×k block of source points, so
 // "the operator has to buffer a sufficient number of points in X in order
 // to compute the value of a point y ∈ Y" — for a row-by-row stream that is
-// exactly k rows, the claim experiment E4 measures.
+// exactly k rows, the claim TestZoomOutMeansBlocks pins.
 //
 // Blocks are anchored at the top-left of each sector's chunks. A partial
 // trailing block (sector height or width not divisible by k) is averaged

@@ -119,7 +119,7 @@ func ParseStretchKind(s string) (StretchKind, error) {
 // with a newer timestamp begins the next frame — it fits the transfer
 // function from the buffered values and replays the frame through it. Its
 // Stats therefore record a peak buffer equal to the largest frame, the
-// claim experiment E3 measures.
+// claim the stretch tests pin.
 type Stretch struct {
 	Kind           StretchKind
 	OutMin, OutMax float64

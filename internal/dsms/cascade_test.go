@@ -10,16 +10,6 @@ import (
 	"time"
 )
 
-// startCascadeServer is startSharedServer with an explicit routing toggle
-// (sharing managers default to cascade routing on; this makes tests that
-// compare modes self-describing).
-func startCascadeServer(t *testing.T, sectors int, cascade bool) (*Server, func()) {
-	t.Helper()
-	s, stop := startSharedServer(t, sectors)
-	s.SetCascadeRouting(cascade)
-	return s, stop
-}
-
 // collectFrames drains a query's frame queue and returns the raw PNG
 // bytes in arrival order.
 func collectFrames(t *testing.T, r *Registered) [][]byte {
@@ -56,8 +46,9 @@ func TestCascadeRoutedDistinctRectsBitIdentical(t *testing.T) {
 		// A crop pushed below a derived band: two routable frontiers.
 		"rselect(ndvi(nir, vis), rect(-121.7, 36.3, -120.3, 37.7))",
 	}
-	run := func(cascade bool) [][][]byte {
-		s, stop := startCascadeServer(t, 2, cascade)
+	run := func(shared bool) [][][]byte {
+		s, stop := startServer(t, 2)
+		s.SetSharing(shared)
 		defer stop()
 		regs := make([]*Registered, len(queries))
 		for i, q := range queries {
@@ -71,13 +62,10 @@ func TestCascadeRoutedDistinctRectsBitIdentical(t *testing.T) {
 			}
 			regs[i] = r
 		}
-		if cascade {
+		if shared {
 			st := s.ServerStats()
 			if st.Shared == nil || len(st.Shared.Routers) == 0 {
-				t.Fatal("cascade routing on but /stats shows no band routers")
-			}
-			if st.Shared.Routing != "tree" {
-				t.Fatalf("Routing = %q, want tree", st.Shared.Routing)
+				t.Fatal("sharing on but /stats shows no band routers")
 			}
 			routed := 0
 			for _, tr := range st.Shared.Trunks {
@@ -102,7 +90,7 @@ func TestCascadeRoutedDistinctRectsBitIdentical(t *testing.T) {
 		for i, r := range regs {
 			frames[i] = collectFrames(t, r)
 		}
-		if cascade {
+		if shared {
 			st := s.ServerStats()
 			var probes, crops int64
 			for _, ri := range st.Shared.Routers {
@@ -139,9 +127,9 @@ func TestCascadeRoutedDistinctRectsBitIdentical(t *testing.T) {
 }
 
 // TestCascadeExplainAnnotates: EXPLAIN marks cascade-routable frontier
-// roots, and only while routing is enabled.
+// roots, and only while sharing is enabled.
 func TestCascadeExplainAnnotates(t *testing.T) {
-	s, stop := startCascadeServer(t, 2, true)
+	s, stop := startSharedServer(t, 2)
 	defer stop()
 	const q = "rselect(ndvi(nir, vis), rect(-121.5, 36.5, -120.5, 37.5))"
 	out, err := s.Explain(q)
@@ -149,18 +137,18 @@ func TestCascadeExplainAnnotates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "[cascade]") {
-		t.Fatalf("EXPLAIN with routing on has no [cascade] annotation:\n%s", out)
+		t.Fatalf("EXPLAIN with sharing on has no [cascade] annotation:\n%s", out)
 	}
 	if !strings.Contains(out, "[shared ") {
 		t.Fatalf("EXPLAIN lost its shared annotations:\n%s", out)
 	}
-	s.SetCascadeRouting(false)
+	s.SetSharing(false)
 	out, err = s.Explain(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out, "[cascade]") {
-		t.Fatalf("EXPLAIN with routing off still annotates [cascade]:\n%s", out)
+		t.Fatalf("EXPLAIN with sharing off still annotates [cascade]:\n%s", out)
 	}
 }
 
@@ -168,7 +156,7 @@ func TestCascadeExplainAnnotates(t *testing.T) {
 // long as its last routed query; full deregistration releases the hub
 // subscription it held.
 func TestCascadeDeregisterTearsDownRouter(t *testing.T) {
-	s, stop := startCascadeServer(t, 2, true)
+	s, stop := startSharedServer(t, 2)
 	defer stop()
 	r1, err := s.Register("rselect(vis, rect(-121.6, 36.4, -120.4, 37.6))", DeliveryOptions{Colormap: "gray"})
 	if err != nil {
@@ -215,7 +203,7 @@ func TestCascadeDeregisterTearsDownRouter(t *testing.T) {
 // goroutine's probes. Run under -race this pins the index and router
 // locking.
 func TestCascadeChurn(t *testing.T) {
-	s, stop := startCascadeServer(t, 10000, true) // effectively endless scan
+	s, stop := startSharedServer(t, 10000) // effectively endless scan
 	defer stop()
 	s.Start()
 

@@ -227,34 +227,49 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Concurrent queries of other shapes run beside it: a plain crop and
+	// a point-wise threshold, each with its own colormap.
+	ids := []int64{int64(qi.ID)}
+	for _, q := range [][2]string{
+		{"rselect(vis, rect(-121.7, 36.3, -120.3, 37.7))", "gray"},
+		{"threshold(vis, 600, 0, 1)", "thermal"},
+	} {
+		other, err := c.Register(q[0], q[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, int64(other.ID))
+	}
 	s.Start()
 	if qi.ID == 0 || qi.OutCRS != "latlon" {
 		t.Fatalf("query info = %+v", qi)
 	}
 
-	frames := 0
-	for {
-		f, ok, err := c.NextFrame(int64(qi.ID), 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
+	for _, id := range ids {
+		frames := 0
+		for {
+			f, ok, err := c.NextFrame(id, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			frames++
+			if _, err := png.Decode(bytes.NewReader(f.PNG)); err != nil {
+				t.Fatalf("query %d: bad PNG: %v", id, err)
+			}
+			if f.Width == 0 || f.Height == 0 {
+				t.Fatal("missing frame metadata headers")
+			}
 		}
-		if !ok {
-			break
+		if frames != 3 {
+			t.Fatalf("query %d: received %d frames over HTTP, want 3", id, frames)
 		}
-		frames++
-		if _, err := png.Decode(bytes.NewReader(f.PNG)); err != nil {
-			t.Fatalf("bad PNG: %v", err)
-		}
-		if f.Width == 0 || f.Height == 0 {
-			t.Fatal("missing frame metadata headers")
-		}
-	}
-	if frames != 3 {
-		t.Fatalf("received %d frames over HTTP, want 3", frames)
 	}
 
 	list, err := c.Queries()
-	if err != nil || len(list) != 1 {
+	if err != nil || len(list) != len(ids) || list[0].ID != qi.ID {
 		t.Fatalf("queries list: %v, %+v", err, list)
 	}
 	if len(list[0].Operators) == 0 {
@@ -277,7 +292,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil || len(st.Hubs) != 2 {
 		t.Fatalf("server stats: %v, %+v", err, st)
 	}
-	if st.Queries != 1 || st.UptimeSeconds <= 0 {
+	if st.Queries != len(ids) || st.UptimeSeconds <= 0 {
 		t.Fatalf("server stats gauges = %+v", st)
 	}
 	for _, h := range st.Hubs {
@@ -286,8 +301,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 		}
 	}
 
-	if err := c.Deregister(int64(qi.ID)); err != nil {
-		t.Fatal(err)
+	for _, id := range ids {
+		if err := c.Deregister(id); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := c.Register("garbage(", ""); err == nil {
 		t.Fatal("bad query must 400 over HTTP")

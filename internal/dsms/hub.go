@@ -56,7 +56,8 @@ type hub struct {
 	mu     sync.Mutex
 	subs   map[cascade.QueryID]*subscriber
 	index  cascade.Index
-	closed bool // closeAll has run; late subscribers get a closed stream
+	nextID cascade.QueryID // last subscription id handed out
+	closed bool            // closeAll has run; late subscribers get a closed stream
 
 	// Supervision lifecycle, exported on /stats and /metrics.
 	state      atomic.Int32 // hubState
@@ -183,24 +184,27 @@ func (s *subscriber) detach() {
 	})
 }
 
-// subscribe attaches a query's interest in this band. After the hub has
-// closed (source ended for good), there is nothing left to deliver and
-// nobody will ever finish() a new subscriber, so late subscribers get an
-// immediately-closed stream: their pipeline sees a normal end-of-stream
-// and terminates instead of leaking.
-func (h *hub) subscribe(id cascade.QueryID, region geom.Rect) *stream.Stream {
+// subscribe attaches an interest in this band and returns its
+// subscription id, drawn from the hub's own counter, for unsubscribe.
+// After the hub has closed (source ended for good), there is nothing left
+// to deliver and nobody will ever finish() a new subscriber, so late
+// subscribers get id 0 and an immediately-closed stream: their pipeline
+// sees a normal end-of-stream and terminates instead of leaking.
+func (h *hub) subscribe(region geom.Rect) (cascade.QueryID, *stream.Stream) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		done := make(chan *stream.Chunk)
 		close(done)
-		return &stream.Stream{Info: h.info, C: done}
+		return 0, &stream.Stream{Info: h.info, C: done}
 	}
+	h.nextID++
+	id := h.nextID
 	s := &subscriber{
 		id: id, region: region,
 		deque: newChunkDeque(h.subBudget(), &h.dropped, func(dropped int64) {
 			h.log.Warn("slow consumer shedding data chunks",
-				"query", int64(id), "dropped_total", dropped)
+				"subscription", int64(id), "dropped_total", dropped)
 		}),
 		out:  make(chan *stream.Chunk, stream.DefaultBuffer),
 		done: make(chan struct{}),
@@ -209,10 +213,10 @@ func (h *hub) subscribe(id cascade.QueryID, region geom.Rect) *stream.Stream {
 	h.subs[id] = s
 	h.index.Insert(id, region)
 	go s.forward()
-	return &stream.Stream{Info: h.info, C: s.out}
+	return id, &stream.Stream{Info: h.info, C: s.out}
 }
 
-// unsubscribe detaches a query and ends its stream.
+// unsubscribe detaches a subscription and ends its stream.
 func (h *hub) unsubscribe(id cascade.QueryID) {
 	h.mu.Lock()
 	s, ok := h.subs[id]

@@ -113,7 +113,7 @@ func (s *Server) Collect(e *obs.Exposition) {
 			if ri.Live {
 				e.Gauge("geostreams_cascade_frontiers",
 					"Query crop rects registered in this band's cascade index.",
-					float64(ri.Frontiers), band, obs.L("index", ri.Index))
+					float64(ri.Frontiers), band)
 			}
 			e.Counter("geostreams_cascade_probes_total",
 				"Data chunks probed against this band's cascade index.",

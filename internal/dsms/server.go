@@ -168,8 +168,8 @@ func NewServer(ctx context.Context) *Server {
 // disables data sampling. The default is trace.DefaultInterval.
 func (s *Server) SetTraceInterval(n int) { s.tracer.SetInterval(n) }
 
-// Tracer exposes the server's chunk tracer so embedders (and the bench
-// harness) can stamp chunks or read spans directly.
+// Tracer exposes the server's chunk tracer so embedders can stamp chunks
+// or read spans directly.
 func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // SetFrameAgeSLO sets the hub→delivery freshness budget: a delivered data
@@ -485,8 +485,8 @@ func (s *Server) Explain(text string) (string, error) {
 	// store scans with [store].
 	var annotate func(query.Node) string
 	var shareAnn func(query.Node) string
-	if m := s.sharingManager(); m != nil {
-		shareAnn = shareAnnotator(fused, m)
+	if s.sharingManager() != nil {
+		shareAnn = shareAnnotator(fused)
 	}
 	if storeOn := s.histStore() != nil; storeOn || shareAnn != nil {
 		annotate = func(n query.Node) string {
@@ -657,17 +657,14 @@ func (s *Server) buildProduct(id cascade.QueryID, opt query.Node, opts DeliveryO
 		}
 	} else {
 		// Private execution: subscribe to every band the plan reads,
-		// registering each band interest in the hub's cascade tree.
+		// registering each band interest in the hub's cascade tree under
+		// the subscription id that hub hands back.
 		interests := query.Interests(opt)
 		sources := make(map[string]*stream.Stream, len(interests))
+		subIDs := make(map[*hub]cascade.QueryID, len(interests))
 		detach = func() {
-			for _, band := range subscribed {
-				s.mu.Lock()
-				h := s.hubs[band]
-				s.mu.Unlock()
-				if h != nil {
-					h.unsubscribe(id)
-				}
+			for h, sid := range subIDs {
+				h.unsubscribe(sid)
 			}
 		}
 		s.mu.Lock()
@@ -678,7 +675,9 @@ func (s *Server) buildProduct(id cascade.QueryID, opt query.Node, opts DeliveryO
 				detach()
 				return nil, nil, fmt.Errorf("dsms: no source for band %q", band)
 			}
-			sources[band] = h.subscribe(id, rect)
+			var sid cascade.QueryID
+			sid, sources[band] = h.subscribe(rect)
+			subIDs[h] = sid
 			subscribed = append(subscribed, band)
 		}
 		s.mu.Unlock()

@@ -40,23 +40,6 @@ func (s *Server) sharingManager() *share.Manager {
 	return s.sharing
 }
 
-// SetCascadeRouting toggles the shared spatial-restriction router for
-// pushed-down rectangular crops (share.RoutingTree vs share.RoutingOff).
-// A no-op without sharing; like SetSharing it applies to queries
-// registered afterwards. On is the default for managers created by
-// SetSharing (the RoutingMode zero value is RoutingTree).
-func (s *Server) SetCascadeRouting(on bool) {
-	m := s.sharingManager()
-	if m == nil {
-		return
-	}
-	if on {
-		m.SetRouting(share.RoutingTree)
-	} else {
-		m.SetRouting(share.RoutingOff)
-	}
-}
-
 // hubSubscriber adapts the ingest hubs to share.Subscriber: each band trunk
 // subscribes once, with a world-rect interest. The interest is deliberately
 // conservative — one trunk feeds every query sharing it, and their union of
@@ -73,9 +56,7 @@ func (hs hubSubscriber) Subscribe(band string, _ *stream.Group) (*stream.Stream,
 		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("dsms: no source for band %q", band)
 	}
-	s.nextID++
-	id := s.nextID
-	st := h.subscribe(id, geom.WorldRect())
+	id, st := h.subscribe(geom.WorldRect())
 	s.mu.Unlock()
 	return st, func() { h.unsubscribe(id) }, nil
 }
@@ -190,12 +171,11 @@ func mergeShareStats(plan query.Node, mounts map[query.Node]*share.Mount, suffix
 
 // shareAnnotator returns the ExplainAnnotated hook marking every operator
 // that would run on (or below) a shared trunk with the digest of the trunk
-// it mounts under. Frontier roots the manager would hand to the band
-// router (cascade-routable crops, routing enabled) additionally carry a
-// [cascade] tag: that subtree executes as a registered rect in the shared
-// spatial-restriction index, not as a private band scan.
-func shareAnnotator(plan query.Node, m *share.Manager) func(query.Node) string {
-	routing := m != nil && m.Routing() != share.RoutingOff
+// it mounts under. Frontier roots the manager hands to the band router
+// (cascade-routable crops) additionally carry a [cascade] tag: that
+// subtree executes as a registered rect in the shared spatial-restriction
+// index, not as a private band scan.
+func shareAnnotator(plan query.Node) func(query.Node) string {
 	tags := map[query.Node]string{}
 	for _, root := range query.ShareFrontier(plan) {
 		short := query.ShortSig(root)
@@ -209,10 +189,8 @@ func shareAnnotator(plan query.Node, m *share.Manager) func(query.Node) string {
 			// cascade-routable node inside the shared subtree — not just
 			// the frontier root — executes as a registered rect in the
 			// band router instead of a private scan.
-			if routing {
-				if _, _, ok := query.CascadeRoutable(n); ok {
-					tags[n] += " [cascade]"
-				}
+			if _, _, ok := query.CascadeRoutable(n); ok {
+				tags[n] += " [cascade]"
 			}
 			for _, c := range n.Children() {
 				mark(c)

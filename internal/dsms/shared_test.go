@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"geostreams/internal/cascade"
 	"geostreams/internal/faults"
 	"geostreams/internal/geom"
 	"geostreams/internal/stream"
@@ -207,6 +208,71 @@ func TestSharedDeregisterReleasesTrunks(t *testing.T) {
 		if h.Subscribers != 0 {
 			t.Fatalf("band %s still has %d subscribers after trunk teardown", h.Band, h.Subscribers)
 		}
+	}
+}
+
+// TestQueryIDsDenseAndHubSubscriptionsOwned: query ids count registrations
+// only, whether or not sharing subscribes trunks to the hubs, and each
+// deregistration detaches exactly the hub subscriptions its query holds.
+// A is a routed crop (the vis band router's subscription), B a source
+// trunk (one nir subscription), C private (one vis and one nir
+// subscription of its own), so every victim leaves a distinct count.
+func TestQueryIDsDenseAndHubSubscriptionsOwned(t *testing.T) {
+	queries := []struct {
+		text   string
+		shared bool
+		subs   map[string]int
+	}{
+		{"rselect(vis, rect(-121.6, 36.4, -120.4, 37.6))", true, map[string]int{"vis": 1}},
+		{"scale(nir, 2, 1)", true, map[string]int{"nir": 1}},
+		{"ndvi(nir, vis)", false, map[string]int{"vis": 1, "nir": 1}},
+	}
+	hubSubs := func(s *Server) map[string]int {
+		out := map[string]int{}
+		for _, h := range s.ServerStats().Hubs {
+			out[h.Band] = h.Subscribers
+		}
+		return out
+	}
+	for victim := range queries {
+		s, stop := startServer(t, 2)
+		regs := make([]*Registered, len(queries))
+		for i, q := range queries {
+			s.SetSharing(q.shared)
+			r, err := s.Register(q.text, DeliveryOptions{Colormap: "gray"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.ID != cascade.QueryID(i+1) {
+				t.Fatalf("query %d registered as id %d, want %d", i, r.ID, i+1)
+			}
+			regs[i] = r
+		}
+		if err := s.Deregister(regs[victim].ID); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]int{"vis": 0, "nir": 0}
+		for i, q := range queries {
+			if i == victim {
+				continue
+			}
+			for band, n := range q.subs {
+				want[band] += n
+			}
+		}
+		if got := hubSubs(s); got["vis"] != want["vis"] || got["nir"] != want["nir"] {
+			t.Fatalf("after deregistering query %d: hub subscribers %v, want %v", victim+1, got, want)
+		}
+		s.Start()
+		for i, r := range regs {
+			if i == victim {
+				continue
+			}
+			if _, ok := r.NextFrame(5 * time.Second); !ok {
+				t.Fatalf("query %d delivered no frame after query %d left", i+1, victim+1)
+			}
+		}
+		stop()
 	}
 }
 

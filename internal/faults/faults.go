@@ -1,9 +1,8 @@
 // Package faults injects deterministic, seeded faults into a stream: chunk
 // drop, stall, duplication, adjacent reordering, early close, and panic.
 // It is the chaos-engineering companion of the DSMS robustness layer — the
-// same wrapper drives the -race chaos tests and the geobench E-F1
-// degradation experiment, so a failure seen in CI replays bit-identically
-// from its seed.
+// same wrapper drives the -race chaos tests, so a failure seen in CI
+// replays bit-identically from its seed.
 //
 // Faults apply to data chunks only: end-of-sector punctuation always
 // passes through (in arrival order), because downstream operators need it

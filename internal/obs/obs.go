@@ -11,9 +11,9 @@
 //
 // The paper's §3 space-complexity claims (restrictions buffer nothing, a
 // stretch buffers one frame, composition buffers one image vs. one row)
-// are asserted by the experiment harness; the metrics exported through
-// this package let a running server *continuously* observe the same
-// invariants — peak buffered points per operator, per-chunk processing
-// latency, and end-to-end chunk age ("data freshness"), the user-facing
-// SLO of a streaming imagery service.
+// are asserted by the operator tests in internal/core; the metrics
+// exported through this package let a running server *continuously*
+// observe the same invariants — peak buffered points per operator,
+// per-chunk processing latency, and end-to-end chunk age ("data
+// freshness"), the user-facing SLO of a streaming imagery service.
 package obs

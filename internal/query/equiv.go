@@ -12,9 +12,9 @@ import (
 
 // This file is the shared core of the algebraic equivalence harness: a
 // random plan generator and a bit-exact output fingerprint. The property
-// tests here, the shared-execution tests in internal/share, and the E-S1
-// experiment all compare plan variants (naive vs optimized+fused vs
-// shared-trunk) through the same Fingerprint, so "equivalent" means the
+// tests here and the shared-execution tests in internal/share compare
+// plan variants (naive vs optimized+fused vs shared-trunk) through the
+// same Fingerprint, so "equivalent" means the
 // same thing everywhere: identical value bits at identical points, and the
 // same punctuation sequence.
 

@@ -15,7 +15,7 @@ import (
 // are teed likewise.
 //
 // It returns the output stream and the Stats instance of every operator in
-// the pipeline, for the experiment harness and the DSMS status endpoint.
+// the pipeline, for the operator tests and the DSMS status endpoint.
 func Build(g *stream.Group, plan Node, sources map[string]*stream.Stream) (*stream.Stream, []*stream.Stats, error) {
 	return BuildPartial(g, plan, sources, nil)
 }

@@ -13,37 +13,6 @@ import (
 	"geostreams/internal/stream"
 )
 
-// RoutingMode selects how the manager executes pushed-down rectangular
-// crops (rselect-over-source frontiers, query.CascadeRoutable).
-type RoutingMode int
-
-const (
-	// RoutingTree routes crops through one per-band cascade-tree router —
-	// per-chunk cost O(depth + matches) in the number of registered rects.
-	// The default.
-	RoutingTree RoutingMode = iota
-	// RoutingNaive routes through the same shared router but with the
-	// naive linear-scan index — shared crop computation, O(N) probing.
-	// Exists so experiments can isolate the index's contribution.
-	RoutingNaive
-	// RoutingOff disables the router: every distinct crop runs as its own
-	// trunk scanning every band chunk, the pre-router behavior and the
-	// per-query cost model the router exists to beat.
-	RoutingOff
-)
-
-func (m RoutingMode) String() string {
-	switch m {
-	case RoutingTree:
-		return "tree"
-	case RoutingNaive:
-		return "naive"
-	case RoutingOff:
-		return "off"
-	}
-	return "unknown"
-}
-
 // router is the shared spatial-restriction stage for one band: the §4
 // dynamic cascade tree wired into live execution. Every routed query's
 // crop rect registers in the index; each incoming chunk is probed once
@@ -112,18 +81,12 @@ func (m *Manager) bandRouter(band string) (*router, error) {
 	}
 	ctx, cancel := context.WithCancel(m.ctx)
 	g := stream.NewGroup(ctx)
-	var idx cascade.Index
-	if m.routing == RoutingNaive {
-		idx = cascade.NewNaive()
-	} else {
-		idx = cascade.NewTree()
-	}
 	rt := &router{
 		band:    band,
 		m:       m,
 		group:   g,
 		cancel:  cancel,
-		idx:     cascade.NewLocked(idx),
+		idx:     cascade.NewLocked(cascade.NewTree()),
 		st:      stream.NewStats("cascade(" + band + ")"),
 		outlets: make(map[cascade.QueryID]*outlet),
 	}
@@ -423,12 +386,11 @@ func (rt *router) send(ctx context.Context, o *outlet, c *stream.Chunk) {
 // RouterInfo is one band's routing-stage state for /stats and metrics.
 // Counters are cumulative across router generations (a band's router is
 // torn down with its last query and rebuilt on the next; teardown folds
-// its counters into the manager so totals never go backwards). Live,
-// Index and Frontiers describe the currently running router, if any.
+// its counters into the manager so totals never go backwards). Live and
+// Frontiers describe the currently running router, if any.
 type RouterInfo struct {
 	Band        string  `json:"band"`
 	Live        bool    `json:"live"`
-	Index       string  `json:"index,omitempty"`
 	Frontiers   int     `json:"frontiers"`
 	Probes      int64   `json:"probes"`
 	Matches     int64   `json:"matches"`
@@ -459,7 +421,6 @@ func (rt *router) info() RouterInfo {
 	rt.mu.Unlock()
 	return RouterInfo{
 		Band:        rt.band,
-		Index:       rt.idx.Name(),
 		Frontiers:   frontiers,
 		Probes:      rt.probes.Load(),
 		Matches:     rt.matches.Load(),

@@ -3,11 +3,14 @@ package share
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"geostreams/internal/geom"
 	"geostreams/internal/query"
 	"geostreams/internal/stream"
 )
@@ -55,137 +58,118 @@ func collectFP(mt *Mount) (query.Fingerprint, error) {
 }
 
 // TestRoutedVsPrivateBitIdentical is the router acceptance property: every
-// crop workload query produces bit-identical output under all three routing
-// modes — shared tree routing, shared naive routing, and private per-query
-// scans — including the punctuation sequence.
+// crop workload query produces bit-identical output through the shared
+// tree router and through a private per-query scan, including the
+// punctuation sequence.
 func TestRoutedVsPrivateBitIdentical(t *testing.T) {
 	w := testWorkload(t)
-	for _, mode := range []RoutingMode{RoutingOff, RoutingNaive, RoutingTree} {
-		for _, q := range cropQueries {
-			want, err := runPrivate(t, w, mustPlan(t, w, q))
-			if err != nil {
-				t.Fatalf("[%s] private run of %q: %v", mode, q, err)
-			}
-			sub := newReplaySub(w, true)
-			m := NewManager(context.Background(), sub)
-			m.SetRouting(mode)
-			mt, err := m.Acquire(mustPlan(t, w, q))
-			if err != nil {
-				t.Fatalf("[%s] Acquire(%q): %v", mode, q, err)
-			}
-			if mode != RoutingOff && len(m.Snapshot().Routers) == 0 {
-				t.Fatalf("[%s] %q: no band router built", mode, q)
-			}
-			if mode == RoutingOff && len(m.Snapshot().Routers) != 0 {
-				t.Fatalf("[off] %q: router built with routing disabled", q)
-			}
-			sub.open()
-			got, err := collectFP(mt)
-			if err != nil {
-				t.Fatalf("[%s] routed collect of %q: %v", mode, q, err)
-			}
-			if d := want.Diff(got, "private", "routed"); d != "" {
-				t.Fatalf("[%s] %q diverged:\n%s", mode, q, d)
-			}
-			mt.Release()
+	for _, q := range cropQueries {
+		want, err := runPrivate(t, w, mustPlan(t, w, q))
+		if err != nil {
+			t.Fatalf("private run of %q: %v", q, err)
 		}
+		sub := newReplaySub(w, true)
+		m := NewManager(context.Background(), sub)
+		mt, err := m.Acquire(mustPlan(t, w, q))
+		if err != nil {
+			t.Fatalf("Acquire(%q): %v", q, err)
+		}
+		if len(m.Snapshot().Routers) == 0 {
+			t.Fatalf("%q: no band router built", q)
+		}
+		sub.open()
+		got, err := collectFP(mt)
+		if err != nil {
+			t.Fatalf("routed collect of %q: %v", q, err)
+		}
+		if d := want.Diff(got, "private", "routed"); d != "" {
+			t.Fatalf("%q diverged:\n%s", q, d)
+		}
+		mt.Release()
 	}
 }
 
 // TestRoutedSnapshotAndDedup: identical crop rects dedup to one routed node
 // and one router frontier; distinct rects add frontiers to the same router;
-// the snapshot reports the routing mode, the routed flag, and index names.
+// the snapshot reports the routed flag.
 func TestRoutedSnapshotAndDedup(t *testing.T) {
 	w := testWorkload(t)
-	for _, mode := range []RoutingMode{RoutingTree, RoutingNaive} {
-		sub := newReplaySub(w, true)
-		m := NewManager(context.Background(), sub)
-		m.SetRouting(mode)
+	sub := newReplaySub(w, true)
+	m := NewManager(context.Background(), sub)
 
-		q := "rselect(nir, rect(-121.6, 36.4, -120.4, 37.6))"
-		m1, err := m.Acquire(mustPlan(t, w, q))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2, err := m.Acquire(mustPlan(t, w, q))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m2.Reused || m1.Sig != m2.Sig {
-			t.Fatalf("[%s] identical rects did not share one routed node", mode)
-		}
-		m3, err := m.Acquire(mustPlan(t, w, "rselect(nir, rect(-121.2, 36.8, -120.8, 37.2))"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m3.Reused {
-			t.Fatalf("[%s] distinct rects must not share a node", mode)
-		}
+	q := "rselect(nir, rect(-121.6, 36.4, -120.4, 37.6))"
+	m1, err := m.Acquire(mustPlan(t, w, q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := m.Acquire(mustPlan(t, w, q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m2.Reused || m1.Sig != m2.Sig {
+		t.Fatal("identical rects did not share one routed node")
+	}
+	m3, err := m.Acquire(mustPlan(t, w, "rselect(nir, rect(-121.2, 36.8, -120.8, 37.2))"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m3.Reused {
+		t.Fatal("distinct rects must not share a node")
+	}
 
-		snap := m.Snapshot()
-		if snap.Routing != mode.String() {
-			t.Fatalf("snapshot routing = %q, want %q", snap.Routing, mode)
+	snap := m.Snapshot()
+	if len(snap.Routers) != 1 {
+		t.Fatalf("%d routers, want 1 (one band)", len(snap.Routers))
+	}
+	ri := snap.Routers[0]
+	if ri.Band != "nir" || ri.Frontiers != 2 {
+		t.Fatalf("router = %+v, want band nir with 2 frontiers", ri)
+	}
+	routed := 0
+	for _, tr := range snap.Trunks {
+		if tr.Routed {
+			routed++
 		}
-		if len(snap.Routers) != 1 {
-			t.Fatalf("[%s] %d routers, want 1 (one band)", mode, len(snap.Routers))
-		}
-		ri := snap.Routers[0]
-		if ri.Band != "nir" || ri.Frontiers != 2 {
-			t.Fatalf("[%s] router = %+v, want band nir with 2 frontiers", mode, ri)
-		}
-		wantIdx := "cascade-tree"
-		if mode == RoutingNaive {
-			wantIdx = "naive"
-		}
-		if ri.Index != wantIdx {
-			t.Fatalf("[%s] index = %q, want %q", mode, ri.Index, wantIdx)
-		}
-		routed := 0
-		for _, tr := range snap.Trunks {
-			if tr.Routed {
-				routed++
-			}
-		}
-		if routed != 2 {
-			t.Fatalf("[%s] %d routed trunks in snapshot, want 2", mode, routed)
-		}
-		if n := sub.subscriptions("nir"); n != 1 {
-			t.Fatalf("[%s] band subscribed %d times, want 1 (router shares the feed)", mode, n)
-		}
+	}
+	if routed != 2 {
+		t.Fatalf("%d routed trunks in snapshot, want 2", routed)
+	}
+	if n := sub.subscriptions("nir"); n != 1 {
+		t.Fatalf("band subscribed %d times, want 1 (router shares the feed)", n)
+	}
 
-		sub.open()
-		want, err := runPrivate(t, w, mustPlan(t, w, q))
-		if err != nil {
-			t.Fatal(err)
-		}
-		type res struct {
-			fp  query.Fingerprint
-			err error
-		}
-		c1, c2 := make(chan res, 1), make(chan res, 1)
-		go func() { fp, err := collectFP(m1); c1 <- res{fp, err} }()
-		go func() { fp, err := collectFP(m2); c2 <- res{fp, err} }()
-		go stream.Drain(context.Background(), m3.Out) //nolint:errcheck
-		r1, r2 := <-c1, <-c2
-		if r1.err != nil || r2.err != nil {
-			t.Fatalf("[%s] routed collects: %v / %v", mode, r1.err, r2.err)
-		}
-		if d := want.Diff(r1.fp, "private", "routed#1"); d != "" {
-			t.Fatalf("[%s] diverged:\n%s", mode, d)
-		}
-		if d := want.Diff(r2.fp, "private", "routed#2"); d != "" {
-			t.Fatalf("[%s] diverged:\n%s", mode, d)
-		}
-		ri = m.Snapshot().Routers[0]
-		if ri.Probes == 0 {
-			t.Fatalf("[%s] router probed nothing", mode)
-		}
-		for _, mt := range []*Mount{m1, m2, m3} {
-			mt.Release()
-		}
-		if n := liveRouters(m.Snapshot()); n != 0 {
-			t.Fatalf("[%s] %d routers still live after all releases", mode, n)
-		}
+	sub.open()
+	want, err := runPrivate(t, w, mustPlan(t, w, q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type res struct {
+		fp  query.Fingerprint
+		err error
+	}
+	c1, c2 := make(chan res, 1), make(chan res, 1)
+	go func() { fp, err := collectFP(m1); c1 <- res{fp, err} }()
+	go func() { fp, err := collectFP(m2); c2 <- res{fp, err} }()
+	go stream.Drain(context.Background(), m3.Out) //nolint:errcheck
+	r1, r2 := <-c1, <-c2
+	if r1.err != nil || r2.err != nil {
+		t.Fatalf("routed collects: %v / %v", r1.err, r2.err)
+	}
+	if d := want.Diff(r1.fp, "private", "routed#1"); d != "" {
+		t.Fatalf("diverged:\n%s", d)
+	}
+	if d := want.Diff(r2.fp, "private", "routed#2"); d != "" {
+		t.Fatalf("diverged:\n%s", d)
+	}
+	ri = m.Snapshot().Routers[0]
+	if ri.Probes == 0 {
+		t.Fatal("router probed nothing")
+	}
+	for _, mt := range []*Mount{m1, m2, m3} {
+		mt.Release()
+	}
+	if n := liveRouters(m.Snapshot()); n != 0 {
+		t.Fatalf("%d routers still live after all releases", n)
 	}
 }
 
@@ -245,6 +229,90 @@ func TestRoutedCropSharing(t *testing.T) {
 	}
 	ma.Release()
 	mb.Release()
+}
+
+// TestRoutedCountsSublinearInN pins the router's work counters exactly on
+// seeded layouts of 64 and 512 distinct crop rects over one band: one
+// index probe per data chunk whatever N is, one match per (chunk,
+// intersecting rect), and one crop per distinct lattice clip among the
+// matches. Each rect is 1/√N of the region high, so a row chunk meets
+// ~√N of them: growing N 8× must grow the matched work well under 8×.
+func TestRoutedCountsSublinearInN(t *testing.T) {
+	w := testWorkload(t)
+	region := geom.R(-122, 36, -120, 38)
+	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	matches := map[int]int64{}
+	for _, n := range []int{64, 512} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		side := region.Width() / math.Sqrt(float64(n))
+		sub := newReplaySub(w, true)
+		m := NewManager(context.Background(), sub)
+		rects := make([]geom.Rect, 0, n)
+		mounts := make([]*Mount, 0, n)
+		for i := 0; i < n; i++ {
+			x := region.MinX + rng.Float64()*(region.Width()-side)
+			y := region.MinY + rng.Float64()*(region.Height()-side)
+			plan := mustPlan(t, w, fmt.Sprintf("rselect(vis, rect(%s, %s, %s, %s))",
+				num(x), num(y), num(x+side), num(y+side)))
+			_, rr, ok := query.CascadeRoutable(plan)
+			if !ok {
+				t.Fatalf("N=%d: crop %d is not cascade-routable: %s", n, i, query.Format(plan))
+			}
+			rects = append(rects, rr.Rect)
+			mt, err := m.Acquire(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mounts = append(mounts, mt)
+		}
+		sub.open()
+		var wg sync.WaitGroup
+		for _, mt := range mounts {
+			wg.Add(1)
+			go func(mt *Mount) {
+				defer wg.Done()
+				stream.Drain(context.Background(), mt.Out) //nolint:errcheck
+			}(mt)
+		}
+		wg.Wait()
+
+		var want RouterInfo
+		for _, c := range w.chunks["vis"] {
+			if !c.IsData() {
+				continue
+			}
+			want.Probes++
+			clips := map[[4]int]bool{}
+			for _, r := range rects {
+				if !r.Intersects(c.Bounds()) {
+					continue
+				}
+				want.Matches++
+				if c0, r0, c1, r1, ok := c.Grid.Lat.ClipRect(r); ok {
+					clips[[4]int{c0, r0, c1, r1}] = true
+				}
+			}
+			want.Crops += int64(len(clips))
+		}
+		snap := m.Snapshot()
+		if len(snap.Routers) != 1 {
+			t.Fatalf("N=%d: %d routers, want 1", n, len(snap.Routers))
+		}
+		got := snap.Routers[0]
+		if got.Frontiers != n || got.Probes != want.Probes || got.Matches != want.Matches || got.Crops != want.Crops {
+			t.Fatalf("N=%d: frontiers %d probes %d matches %d crops %d, want %d, %d, %d, %d",
+				n, got.Frontiers, got.Probes, got.Matches, got.Crops, n, want.Probes, want.Matches, want.Crops)
+		}
+		matches[n] = got.Matches
+		for _, mt := range mounts {
+			mt.Release()
+		}
+	}
+	t.Logf("matches: %d at N=64, %d at N=512", matches[64], matches[512])
+	if matches[64] == 0 || matches[512] >= 4*matches[64] {
+		t.Fatalf("matched work grew from %d at N=64 to %d at N=512: want under 4x for 8x the rects",
+			matches[64], matches[512])
+	}
 }
 
 // TestRoutedLeakFree: every pool-backed chunk the routed path creates goes

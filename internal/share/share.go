@@ -49,10 +49,8 @@ type Manager struct {
 
 	// routers hold the per-band shared spatial-restriction stage (router.go):
 	// cascade-routable crop nodes read router outlets instead of running a
-	// private scan of the band. routing selects the index (or disables the
-	// stage); it applies to acquisitions made after the change.
+	// private scan of the band.
 	routers map[string]*router
-	routing RoutingMode
 	// routerHist accumulates counters of torn-down router generations per
 	// band, so /stats and metrics totals stay monotonic across the
 	// last-query-leaves / next-query-rebuilds cycle.
@@ -73,22 +71,6 @@ type Manager struct {
 func NewManager(ctx context.Context, sub Subscriber) *Manager {
 	return &Manager{ctx: ctx, sub: sub, nodes: map[string]*node{},
 		routers: map[string]*router{}, routerHist: map[string]RouterInfo{}}
-}
-
-// SetRouting selects how pushed-down rectangular crops execute (see
-// RoutingMode). Takes effect for acquisitions made afterwards; running
-// nodes keep the mode they were built with. The default is RoutingTree.
-func (m *Manager) SetRouting(mode RoutingMode) {
-	m.mu.Lock()
-	m.routing = mode
-	m.mu.Unlock()
-}
-
-// Routing reports the current routing mode.
-func (m *Manager) Routing() RoutingMode {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.routing
 }
 
 // SetTrace wires the span recorder trunks attach as they are built. Trunks
@@ -215,10 +197,8 @@ func (m *Manager) acquire(plan query.Node, seen map[query.Node]*node) (*node, er
 		seen[plan] = n
 		return n, nil
 	}
-	if m.routing != RoutingOff {
-		if band, region, ok := query.CascadeRoutable(plan); ok {
-			return m.acquireRouted(plan, sig, band, region, seen)
-		}
+	if band, region, ok := query.CascadeRoutable(plan); ok {
+		return m.acquireRouted(plan, sig, band, region, seen)
 	}
 
 	ctx, cancel := context.WithCancel(m.ctx)
@@ -384,7 +364,6 @@ type Snapshot struct {
 	Created  int64        `json:"trunks_created"`
 	Reused   int64        `json:"trunks_reused"`
 	Panicked int64        `json:"trunks_panicked"`
-	Routing  string       `json:"routing"`
 	Routers  []RouterInfo `json:"routers,omitempty"`
 }
 
@@ -393,7 +372,7 @@ type Snapshot struct {
 func (m *Manager) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := Snapshot{Created: m.created, Reused: m.reused, Panicked: m.panicked, Routing: m.routing.String()}
+	s := Snapshot{Created: m.created, Reused: m.reused, Panicked: m.panicked}
 	for _, n := range m.nodes {
 		s.Trunks = append(s.Trunks, TrunkInfo{
 			Sig:       n.sig,

@@ -121,6 +121,9 @@ func TestRingReplayBitIdentical(t *testing.T) {
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d chunks, want %d", len(got), len(want))
 	}
+	if ev := b.Snapshot().Evicted; ev != 0 {
+		t.Fatalf("ring evicted %d records it was sized to hold", ev)
+	}
 	for i := range got {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Fatalf("chunk %d not bit-identical after ring replay", i)

@@ -9,7 +9,7 @@ import (
 	"geostreams/internal/obs/trace"
 )
 
-// Stats instruments one operator instance. The experiment harness reads
+// Stats instruments one operator instance. The operator tests read
 // these counters to verify the paper's space-complexity claims directly:
 // the §3.1 claim that restrictions buffer nothing, the §3.2 claim that a
 // stretch buffers one frame, the §3.3 claim that composition buffering is

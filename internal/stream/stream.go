@@ -7,7 +7,7 @@ import (
 
 // DefaultBuffer is the channel depth between pipeline stages. A small
 // buffer decouples producer/consumer scheduling without hiding the
-// blocking behaviour the experiments measure.
+// blocking behaviour the buffering tests pin.
 const DefaultBuffer = 4
 
 // Stream is the physical form of a GeoStream: static Info plus a channel
