@@ -105,6 +105,58 @@ func TestComposeMeasurementTimeNeverMatches(t *testing.T) {
 	}
 }
 
+// TestComposeMatchRateAndBuffering: §3.3 across both organizations and
+// both stamping policies. With sector-id stamps every point matches;
+// image-by-image buffers at least a complete image, row-by-row under half
+// of one. With measurement-time stamps no point ever matches. MaxPending
+// is set high so shedding cannot stand in for a missed match.
+func TestComposeMatchRateAndBuffering(t *testing.T) {
+	const sectors = 2
+	lat := sectorLattice(t, 16, 32)
+	frame := int64(lat.NumPoints())
+	for _, org := range []stream.Organization{stream.ImageByImage, stream.RowByRow} {
+		for _, stamp := range []stream.StampPolicy{stream.StampSectorID, stream.StampMeasurementTime} {
+			var a, b []*stream.Chunk
+			for s := geom.Timestamp(1); s <= sectors; s++ {
+				ta, tb := s, s
+				if stamp == stream.StampMeasurementTime {
+					ta, tb = 1000*s, 1000*s+500 // b scanned after a
+				}
+				if org == stream.ImageByImage {
+					a = append(a, frameChunk(t, lat, ta, func(c, r int) float64 { return 3 })...)
+					b = append(b, frameChunk(t, lat, tb, func(c, r int) float64 { return 1 })...)
+				} else {
+					a = append(a, rowChunks(t, lat, ta, func(c, r int) float64 { return 3 })...)
+					b = append(b, rowChunks(t, lat, tb, func(c, r int) float64 { return 1 })...)
+				}
+			}
+			ia, ib := rowInfo("nir", lat), rowInfo("vis", lat)
+			ia.Org, ib.Org = org, org
+			ia.Stamp, ib.Stamp = stamp, stamp
+			op := Compose{Gamma: valueset.Sub, MaxPending: 4 * sectors * int(frame)}
+			got, st := runBinary(t, op, ia, ib, a, b)
+			matched := int64(countDataPoints(got))
+			peak := st.PeakBufferedPoints()
+			switch {
+			case stamp == stream.StampMeasurementTime:
+				if matched != 0 {
+					t.Fatalf("%v measurement-time: %d points matched, want 0", org, matched)
+				}
+			case org == stream.ImageByImage:
+				if matched != sectors*frame || peak < frame {
+					t.Fatalf("image-by-image: matched %d of %d, peak buffer %d; want all and >= frame %d",
+						matched, sectors*frame, peak, frame)
+				}
+			default:
+				if matched != sectors*frame || peak >= frame/2 {
+					t.Fatalf("row-by-row: matched %d of %d, peak buffer %d; want all and < half frame %d",
+						matched, sectors*frame, peak, frame)
+				}
+			}
+		}
+	}
+}
+
 func TestComposeMixedStampPolicyRejected(t *testing.T) {
 	lat := sectorLattice(t, 2, 2)
 	ia := rowInfo("a", lat)

@@ -265,6 +265,40 @@ func TestRestrictionConstantCostPerPoint(t *testing.T) {
 	}
 }
 
+// TestRestrictionsBufferNothing: §3.1 — spatial, temporal and value
+// restrictions are non-blocking and need no intermediate storage, however
+// many sectors the stream carries.
+func TestRestrictionsBufferNothing(t *testing.T) {
+	lat := sectorLattice(t, 16, 12)
+	rng, err := valueset.NewRange(20, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []struct {
+		name string
+		op   stream.Operator
+	}{
+		{"spatial", SpatialRestrict{Region: geom.NewRectRegion(geom.R(0.02, 0.02, 0.12, 0.09))}},
+		{"temporal", TemporalRestrict{Times: geom.NewInterval(1, 3)}},
+		{"value", ValueRestrict{Values: rng}},
+	}
+	for _, o := range ops {
+		for _, sectors := range []int{1, 2, 4} {
+			var chunks []*stream.Chunk
+			for ts := geom.Timestamp(0); ts < geom.Timestamp(sectors); ts++ {
+				chunks = append(chunks, rowChunks(t, lat, ts, func(c, r int) float64 { return float64(c * r) })...)
+			}
+			_, st := runUnary(t, o.op, rowInfo("vis", lat), chunks)
+			if peak := st.PeakBufferedPoints(); peak != 0 {
+				t.Fatalf("%s restriction over %d sectors buffered %d points", o.name, sectors, peak)
+			}
+			if in := st.PointsIn.Load(); in != int64(sectors*lat.NumPoints()) {
+				t.Fatalf("%s restriction over %d sectors: points in = %d", o.name, sectors, in)
+			}
+		}
+	}
+}
+
 func TestValueRestrictNaNNeverSelected(t *testing.T) {
 	lat := sectorLattice(t, 2, 1)
 	ch, err := stream.NewGridChunk(1, lat.Row(0), []float64{math.NaN(), 5})

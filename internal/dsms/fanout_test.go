@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"geostreams/internal/geom"
 	"geostreams/internal/raster"
+	"geostreams/internal/ws"
 )
 
 // TestConcurrentPollersEachSeeEveryFrame pins the frame-stealing bug: the
@@ -105,6 +107,151 @@ func TestConcurrentPollersEachSeeEveryFrame(t *testing.T) {
 	}
 	if n := reg.DeliveryStats().Frames; n != 3 {
 		t.Fatalf("encoded %d frames for %d pollers, want exactly 3 (render-once)", n, pollers)
+	}
+}
+
+// TestFanoutEncodesOncePerTransport: render-once holds on every
+// transport at any cohort size. Each cohort — 100 and 1000 in-process
+// cursors, 8 long-pollers, 8 WebSocket connections — runs alone on its
+// own server; the query encodes each frame exactly once, and every
+// subscriber accounts for the whole sequence: observed + shed == frames.
+func TestFanoutEncodesOncePerTransport(t *testing.T) {
+	const sectors = 4
+	for _, cohort := range []struct {
+		transport string
+		n         int
+	}{{"cursor", 100}, {"cursor", 1000}, {"long-poll", 8}, {"websocket", 8}} {
+		s, stop := startServer(t, sectors)
+		reg, err := s.Register("vis", DeliveryOptions{Colormap: "gray"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		base := fmt.Sprintf("%s/queries/%d", ts.URL, reg.ID)
+
+		var wg sync.WaitGroup
+		errs := make(chan error, cohort.n)
+		for i := 0; i < cohort.n; i++ {
+			var run func() (observed, shed int64, err error)
+			switch cohort.transport {
+			case "cursor":
+				sub := reg.SubscribeFrames() // before Start: everyone sees seq 0
+				run = func() (int64, int64, error) {
+					defer sub.Close()
+					return cursorAccount(sub)
+				}
+			case "long-poll":
+				run = func() (int64, int64, error) { return pollAccount(base + "/frame") }
+			case "websocket":
+				run = func() (int64, int64, error) { return wsAccount("ws" + strings.TrimPrefix(base, "http") + "/ws") }
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				observed, shed, err := run()
+				switch {
+				case err != nil:
+					errs <- fmt.Errorf("%s %d: %v", cohort.transport, i, err)
+				case observed+shed != sectors:
+					errs <- fmt.Errorf("%s %d: observed %d + shed %d != %d",
+						cohort.transport, i, observed, shed, sectors)
+				}
+			}(i)
+		}
+		s.Start()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+		if n := reg.DeliveryStats().Frames; n != sectors {
+			t.Errorf("%d %s subscribers: %d encodes for %d frames, want one each",
+				cohort.n, cohort.transport, n, sectors)
+		}
+		ts.Close()
+		stop()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+}
+
+// cursorAccount drains an in-process frame subscription to its end and
+// reports the frames it observed and the frames it shed.
+func cursorAccount(sub *FrameSub) (observed, shed int64, err error) {
+	for {
+		f, ok := sub.Next(30 * time.Second)
+		if !ok {
+			if !sub.Ended() {
+				return observed, sub.Shed(), fmt.Errorf("timed out after %d frames", observed)
+			}
+			return observed, sub.Shed(), nil
+		}
+		observed++
+		f.Release()
+	}
+}
+
+// pollAccount long-polls the cursor endpoint from seq 0 to end-of-stream
+// and reports the frames it observed and the frames reported shed.
+func pollAccount(frameURL string) (observed, shed int64, err error) {
+	cursor := "0"
+	for {
+		resp, err := http.Get(frameURL + "?cursor=" + cursor + "&wait=5000")
+		if err != nil {
+			return observed, shed, err
+		}
+		resp.Body.Close()
+		if next := resp.Header.Get("X-Geostreams-Cursor"); next != "" {
+			cursor = next
+		}
+		if sh, _ := strconv.ParseInt(resp.Header.Get("X-Geostreams-Shed"), 10, 64); sh > 0 {
+			shed += sh
+		}
+		switch resp.StatusCode {
+		case http.StatusOK:
+			observed++
+		case http.StatusNoContent:
+			if resp.Header.Get("X-Geostreams-End") == "1" {
+				return observed, shed, nil
+			}
+		default:
+			return observed, shed, fmt.Errorf("status %d", resp.StatusCode)
+		}
+	}
+}
+
+// wsAccount reads a WebSocket frame subscription until the server's clean
+// close (1000) and reports the frames it observed and the shed count the
+// last frame carried.
+func wsAccount(url string) (observed, shed int64, err error) {
+	c, err := ws.Dial(url, nil, 10*time.Second)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer c.Close()
+	c.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
+	for {
+		op, p, err := c.ReadMessage()
+		if err != nil {
+			if cl, ok := err.(*ws.Closed); ok && cl.Code == 1000 {
+				return observed, shed, nil
+			}
+			return observed, shed, err
+		}
+		switch op {
+		case ws.OpPing:
+			if err := c.WritePong(p, time.Now().Add(5*time.Second)); err != nil {
+				return observed, shed, err
+			}
+		case ws.OpBinary:
+			f, err := DecodeWSFrame(p)
+			if err != nil {
+				return observed, shed, err
+			}
+			observed++
+			shed = int64(f.Shed)
+		}
 	}
 }
 

@@ -152,6 +152,10 @@ func (s *Server) handleWS(w http.ResponseWriter, r *http.Request) {
 		f, ok := sub.Next(poll)
 		if !ok {
 			if sub.Ended() {
+				// Detach before the close frame goes out, so a peer that
+				// has seen "query ended" never finds this connection still
+				// counted as a subscriber.
+				sub.Close()
 				c.WriteClose(1000, "query ended", time.Now().Add(wsWriteTimeout)) //nolint:errcheck
 				// Give the peer a beat to answer the close handshake.
 				select {
