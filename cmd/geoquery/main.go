@@ -135,9 +135,8 @@ func main() {
 		fatal(err)
 		fmt.Printf("queries=%d uptime=%.1fs\n", st.Queries, st.UptimeSeconds)
 		for _, h := range st.Hubs {
-			fmt.Printf("band %-6s subscribers=%d delivered=%d dropped=%d routed=%d unrouted=%d age_p50=%.3fs age_p95=%.3fs\n",
-				h.Band, h.Subscribers, h.Delivered, h.Dropped, h.Routed,
-				h.Unrouted, h.AgeP50Seconds, h.AgeP95Seconds)
+			fmt.Printf("band %-6s subscribers=%d delivered=%d dropped=%d age_p50=%.3fs age_p95=%.3fs\n",
+				h.Band, h.Subscribers, h.Delivered, h.Dropped, h.AgeP50Seconds, h.AgeP95Seconds)
 		}
 	case "metrics":
 		text, err := c.Metrics()

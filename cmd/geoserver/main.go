@@ -7,7 +7,7 @@
 //	geoserver [-addr :8080] [-goes] [-subsat -75]
 //	          [-region "-122,36,-120,38"] [-w 256] [-h 192]
 //	          [-sectors 0] [-interval 2s] [-seed 42]
-//	          [-max-queries 0] [-drain-timeout 10s] [-share]
+//	          [-max-queries 0] [-drain-timeout 10s]
 //	          [-ingest :9090] [-local=false]
 //	          [-store-dir /var/lib/geostreams] [-history 4096]
 //	          [-trace-sample 64] [-frame-age-slo 0]
@@ -22,12 +22,11 @@
 // with a Retry-After hint). On SIGINT/SIGTERM the server drains
 // gracefully: registration stops, queued chunks flush to their queries,
 // and pipelines get up to -drain-timeout to finish before being
-// cancelled. -share (default on) runs common subplans of concurrent
-// queries once on shared trunks, and routes pushed-down rectangular crops
-// through a per-band shared cascade index: each chunk is probed once
-// against every registered query rect instead of scanned per query;
-// -share=false keeps every query fully private. -trace-sample tunes chunk
-// tracing (1 in N data chunks get a full span timeline, visible at GET
+// cancelled. Common subplans of concurrent queries run once on shared
+// trunks, and pushed-down rectangular crops route through a per-band
+// shared cascade index: each chunk is probed once against every
+// registered query rect instead of scanned per query. -trace-sample tunes
+// chunk tracing (1 in N data chunks get a full span timeline, visible at GET
 // /queries/{id}/trace; punctuation is always traced). -frame-age-slo sets
 // an ingest-to-delivery freshness budget: delivered data chunks older
 // than it burn the per-query geostreams_frame_age_slo_burn_total counter.
@@ -107,8 +106,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	debug := flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
-	shareQueries := flag.Bool("share", true,
-		"shared multi-query execution: common subplans run once on shared trunks")
 	parallelism := flag.Int("parallelism", 0,
 		"worker count for data-parallel grid kernels (0 = GOMAXPROCS; overrides GEOSTREAMS_PARALLELISM)")
 	ingest := flag.String("ingest", "",
@@ -161,7 +158,6 @@ func main() {
 	srv.SetLogger(logger)
 	srv.SetDebug(*debug)
 	srv.SetMaxQueries(*maxQueries)
-	srv.SetSharing(*shareQueries)
 	if *traceSample != 0 {
 		srv.SetTraceInterval(*traceSample)
 	}

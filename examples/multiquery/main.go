@@ -2,8 +2,9 @@
 // feed serving many concurrent continuous queries, each with its own
 // region of interest, multiplexed through the shared cascade-tree
 // restriction stage. Clients connect over real HTTP and receive PNG
-// frames; the program then prints the hub routing telemetry showing that
-// each query only received the data its region needed.
+// frames; the program then prints the band routers' telemetry: chunks
+// probed against the registered query rects, index matches, crops
+// computed, and chunks no rect needed.
 package main
 
 import (
@@ -101,13 +102,13 @@ func main() {
 		fmt.Println(r)
 	}
 
-	fmt.Println("\nhub routing telemetry (shared cascade-tree restriction):")
+	fmt.Println("\nband router telemetry (shared cascade-tree restriction):")
 	stats, err := client.Stats()
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, h := range stats.Hubs {
-		fmt.Printf("band %-4s delivered=%-5d dropped=%-3d index matches=%d\n",
-			h.Band, h.Delivered, h.Dropped, h.Routed)
+	for _, r := range stats.Shared.Routers {
+		fmt.Printf("band %-4s probes=%-5d matches=%-5d crops=%-5d filtered=%d\n",
+			r.Band, r.Probes, r.Matches, r.Crops, r.Filtered)
 	}
 }

@@ -2,12 +2,17 @@ package dsms
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"geostreams/internal/query"
+	"geostreams/internal/raster"
+	"geostreams/internal/stream"
 )
 
 // collectFrames drains a query's frame queue and returns the raw PNG
@@ -28,12 +33,100 @@ func collectFrames(t *testing.T, r *Registered) [][]byte {
 	return out
 }
 
+// oracleFrames renders q the library way, independent of the server: the
+// startServer imager's sources → Parse → Validate → query.Build,
+// unoptimized and unfused, → raster.Assembler → EncodePNG with the
+// server's default value range. Bands the plan does not read are drained
+// so their generators finish.
+func oracleFrames(t *testing.T, q, colormap string, sectors int) [][]byte {
+	t.Helper()
+	g := stream.NewGroup(context.Background())
+	sources, err := testImager(t, stream.RowByRow, sectors).Streams(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	catalog := map[string]stream.Info{}
+	bands := map[string]bool{}
+	for band, src := range sources {
+		catalog[band] = src.Info
+		bands[band] = true
+	}
+	plan, err := query.Parse(q, bands)
+	if err != nil {
+		t.Fatalf("parse %q: %v", q, err)
+	}
+	if err := query.Validate(plan, catalog); err != nil {
+		t.Fatalf("validate %q: %v", q, err)
+	}
+	read := query.Interests(plan)
+	for band, src := range sources {
+		if _, ok := read[band]; !ok {
+			go stream.Drain(context.Background(), src) //nolint:errcheck
+		}
+	}
+	out, _, err := query.Build(g, plan, sources)
+	if err != nil {
+		t.Fatalf("build %q: %v", q, err)
+	}
+	opts := DeliveryOptions{Colormap: colormap}.withDefaults(out.Info)
+	cm, err := raster.ColormapByName(opts.Colormap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	encode := func(imgs []*raster.Image) {
+		for _, img := range imgs {
+			var buf bytes.Buffer
+			if err := img.EncodePNG(&buf, cm, opts.VMin, opts.VMax); err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, buf.Bytes())
+		}
+	}
+	asm := raster.NewAssembler()
+	for c := range out.C {
+		imgs, err := asm.Add(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encode(imgs)
+	}
+	imgs, err := asm.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode(imgs)
+	if err := g.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+// assertFramesMatch fails unless got is byte-for-byte the oracle's frame
+// sequence for q.
+func assertFramesMatch(t *testing.T, what string, got [][]byte, q, colormap string, sectors int) {
+	t.Helper()
+	want := oracleFrames(t, q, colormap, sectors)
+	if len(want) != sectors {
+		t.Fatalf("oracle rendered %d frames of %q, want %d", len(want), q, sectors)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d frames, oracle %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: frame %d differs from the library oracle", what, i)
+		}
+	}
+}
+
 // TestCascadeRoutedDistinctRectsBitIdentical is the E2E acceptance check:
 // distinct-rect crop queries routed through the shared cascade stage
-// deliver byte-for-byte the frames private execution delivers, and the
+// deliver byte-for-byte the frames the library oracle renders, and the
 // routing is visible in /stats (routers present, crop nodes marked
 // routed, crops computed).
 func TestCascadeRoutedDistinctRectsBitIdentical(t *testing.T) {
+	const sectors = 2
 	queries := []string{
 		// Distinct overlapping rects over one band.
 		"rselect(vis, rect(-121.9, 36.1, -120.9, 37.1))",
@@ -46,90 +139,68 @@ func TestCascadeRoutedDistinctRectsBitIdentical(t *testing.T) {
 		// A crop pushed below a derived band: two routable frontiers.
 		"rselect(ndvi(nir, vis), rect(-121.7, 36.3, -120.3, 37.7))",
 	}
-	run := func(shared bool) [][][]byte {
-		s, stop := startServer(t, 2)
-		s.SetSharing(shared)
-		defer stop()
-		regs := make([]*Registered, len(queries))
-		for i, q := range queries {
-			cm := "gray"
-			if i == 3 {
-				cm = "thermal"
-			}
-			r, err := s.Register(q, DeliveryOptions{Colormap: cm})
-			if err != nil {
-				t.Fatalf("register %q: %v", q, err)
-			}
-			regs[i] = r
+	colormap := func(i int) string {
+		if i == 3 {
+			return "thermal"
 		}
-		if shared {
-			st := s.ServerStats()
-			if st.Shared == nil || len(st.Shared.Routers) == 0 {
-				t.Fatal("sharing on but /stats shows no band routers")
-			}
-			routed := 0
-			for _, tr := range st.Shared.Trunks {
-				if tr.Routed {
-					routed++
-				}
-			}
-			// 3 distinct vis rects + vis and nir frontiers of the ndvi
-			// query = 5 routed crop nodes (the duplicate rect reuses one).
-			if routed != 5 {
-				t.Fatalf("%d routed trunks, want 5: %+v", routed, st.Shared.Trunks)
-			}
-			for _, h := range st.Hubs {
-				if h.Subscribers != 1 {
-					t.Fatalf("band %s has %d hub subscribers, want 1 (the router)",
-						h.Band, h.Subscribers)
-				}
-			}
-		}
-		s.Start()
-		frames := make([][][]byte, len(regs))
-		for i, r := range regs {
-			frames[i] = collectFrames(t, r)
-		}
-		if shared {
-			st := s.ServerStats()
-			var probes, crops int64
-			for _, ri := range st.Shared.Routers {
-				probes += ri.Probes
-				crops += ri.Crops
-			}
-			if probes == 0 || crops == 0 {
-				t.Fatalf("router saw no traffic: probes=%d crops=%d", probes, crops)
-			}
-			// The duplicate rect reuses the routed node rather than adding
-			// an outlet (crop sharing between distinct outlets is pinned at
-			// the share level by TestRoutedCropSharing).
-			if st.Shared.Reused == 0 {
-				t.Fatal("duplicate-rect query did not reuse the routed node")
-			}
-		}
-		return frames
+		return "gray"
 	}
-
-	routed := run(true)
-	private := run(false)
-	for qi := range queries {
-		if len(routed[qi]) == 0 || len(routed[qi]) != len(private[qi]) {
-			t.Fatalf("query %d: %d routed frames vs %d private",
-				qi, len(routed[qi]), len(private[qi]))
+	s, stop := startServer(t, sectors)
+	defer stop()
+	regs := make([]*Registered, len(queries))
+	for i, q := range queries {
+		regs[i] = mustRegister(t, s, q, DeliveryOptions{Colormap: colormap(i)})
+	}
+	st := s.ServerStats()
+	if len(st.Shared.Routers) == 0 {
+		t.Fatal("/stats shows no band routers")
+	}
+	routed := 0
+	for _, tr := range st.Shared.Trunks {
+		if tr.Routed {
+			routed++
 		}
-		for fi := range routed[qi] {
-			if !bytes.Equal(routed[qi][fi], private[qi][fi]) {
-				t.Fatalf("query %d frame %d differs between routed and private execution",
-					qi, fi)
-			}
+	}
+	// 3 distinct vis rects + vis and nir frontiers of the ndvi query = 5
+	// routed crop nodes (the duplicate rect reuses one).
+	if routed != 5 {
+		t.Fatalf("%d routed trunks, want 5: %+v", routed, st.Shared.Trunks)
+	}
+	for _, h := range st.Hubs {
+		if h.Subscribers != 1 {
+			t.Fatalf("band %s has %d hub subscribers, want 1 (the router)",
+				h.Band, h.Subscribers)
 		}
+	}
+	s.Start()
+	frames := make([][][]byte, len(regs))
+	for i, r := range regs {
+		frames[i] = collectFrames(t, r)
+	}
+	st = s.ServerStats()
+	var probes, crops int64
+	for _, ri := range st.Shared.Routers {
+		probes += ri.Probes
+		crops += ri.Crops
+	}
+	if probes == 0 || crops == 0 {
+		t.Fatalf("router saw no traffic: probes=%d crops=%d", probes, crops)
+	}
+	// The duplicate rect reuses the routed node rather than adding an
+	// outlet (crop sharing between distinct outlets is pinned at the share
+	// level by TestRoutedCropSharing).
+	if st.Shared.Reused == 0 {
+		t.Fatal("duplicate-rect query did not reuse the routed node")
+	}
+	for qi, q := range queries {
+		assertFramesMatch(t, fmt.Sprintf("query %d", qi), frames[qi], q, colormap(qi), sectors)
 	}
 }
 
 // TestCascadeExplainAnnotates: EXPLAIN marks cascade-routable frontier
-// roots, and only while sharing is enabled.
+// roots.
 func TestCascadeExplainAnnotates(t *testing.T) {
-	s, stop := startSharedServer(t, 2)
+	s, stop := startServer(t, 2)
 	defer stop()
 	const q = "rselect(ndvi(nir, vis), rect(-121.5, 36.5, -120.5, 37.5))"
 	out, err := s.Explain(q)
@@ -137,18 +208,10 @@ func TestCascadeExplainAnnotates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "[cascade]") {
-		t.Fatalf("EXPLAIN with sharing on has no [cascade] annotation:\n%s", out)
+		t.Fatalf("EXPLAIN has no [cascade] annotation:\n%s", out)
 	}
 	if !strings.Contains(out, "[shared ") {
 		t.Fatalf("EXPLAIN lost its shared annotations:\n%s", out)
-	}
-	s.SetSharing(false)
-	out, err = s.Explain(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "[cascade]") {
-		t.Fatalf("EXPLAIN with sharing off still annotates [cascade]:\n%s", out)
 	}
 }
 
@@ -156,7 +219,7 @@ func TestCascadeExplainAnnotates(t *testing.T) {
 // long as its last routed query; full deregistration releases the hub
 // subscription it held.
 func TestCascadeDeregisterTearsDownRouter(t *testing.T) {
-	s, stop := startSharedServer(t, 2)
+	s, stop := startServer(t, 2)
 	defer stop()
 	r1, err := s.Register("rselect(vis, rect(-121.6, 36.4, -120.4, 37.6))", DeliveryOptions{Colormap: "gray"})
 	if err != nil {
@@ -203,7 +266,7 @@ func TestCascadeDeregisterTearsDownRouter(t *testing.T) {
 // goroutine's probes. Run under -race this pins the index and router
 // locking.
 func TestCascadeChurn(t *testing.T) {
-	s, stop := startSharedServer(t, 10000) // effectively endless scan
+	s, stop := startServer(t, 10000) // effectively endless scan
 	defer stop()
 	s.Start()
 

@@ -99,13 +99,13 @@ type Registered struct {
 }
 
 // product is one rendered output: a query pipeline, its delivery stage
-// (assembler and PNG encode), frame ring and push taps. Under shared
-// execution a registration whose productKey matches a live product becomes
-// a handle on it instead of building its own, so signature-equal queries
-// encode each frame once; the last handle's Deregister tears it down.
+// (assembler and PNG encode), frame ring and push taps. A registration
+// whose productKey matches a live product becomes a handle on it instead
+// of building its own, so signature-equal queries encode each frame once;
+// the last handle's Deregister tears it down.
 type product struct {
 	// key is the dedupe key, empty for a product no later registration may
-	// join (sharing off, a store scan); digest is the product's short name
+	// join (a store scan); digest is the product's short name
 	// on GET /queries/{id}. traceID keys the span ring: the id of the
 	// query that built the product.
 	key     string
@@ -120,11 +120,8 @@ type product struct {
 	deliv  *deliveryStats
 	group  *stream.Group
 	server *Server
-	// bands are the product's private hub subscriptions (empty under shared
-	// execution, where trunks own the subscriptions); shared lists the
-	// digests of the trunks the pipeline mounts; detach disconnects the
-	// pipeline from the data plane either way (idempotent).
-	bands  []string
+	// shared lists the digests of the trunks the pipeline mounts; detach
+	// disconnects the pipeline from the data plane (idempotent).
 	shared []string
 	detach func()
 	// taps feeds the wire push subscribers (GET /queries/{id}/stream);
@@ -260,8 +257,8 @@ type QueryStatus struct {
 	ID    cascade.QueryID `json:"id"`
 	State string          `json:"state"` // running | finished | failed | panicked
 	Error string          `json:"error,omitempty"`
-	// SharedTrunks lists the trunk digests this query mounts under shared
-	// execution; empty for private pipelines.
+	// SharedTrunks lists the trunk digests this query mounts; empty for a
+	// store scan.
 	SharedTrunks []string `json:"shared_trunks,omitempty"`
 }
 

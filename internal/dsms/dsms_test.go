@@ -2,9 +2,9 @@ package dsms
 
 import (
 	"bytes"
-	"context"
 	"image/png"
 	"io"
+	"math"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -17,31 +17,23 @@ import (
 	"geostreams/internal/stream"
 )
 
-// startServer brings up a DSMS over a synthetic two-band imager and
+// testImager is the synthetic two-band instrument the dsms tests run on:
+// scene seed 99 over 24×20 sectors of the (-122, 36)–(-120, 38) box.
+func testImager(t *testing.T, org stream.Organization, sectors int) *sat.Imager {
+	t.Helper()
+	im, err := sat.NewLatLonImager(geom.R(-122, 36, -120, 38), 24, 20, sat.DefaultScene(99),
+		[]string{"vis", "nir"}, org, sectors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return im
+}
+
+// startServer brings up a DSMS over the row-by-row test imager and
 // returns the server plus a cancel that shuts everything down.
 func startServer(t *testing.T, sectors int) (*Server, func()) {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	s := NewServer(ctx)
-	scene := sat.DefaultScene(99)
-	im, err := sat.NewLatLonImager(geom.R(-122, 36, -120, 38), 24, 20, scene,
-		[]string{"vis", "nir"}, stream.RowByRow, sectors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams, err := im.Streams(s.Group())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, band := range []string{"vis", "nir"} {
-		if err := s.AddSource(streams[band]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s, func() {
-		cancel()
-		s.Close() //nolint:errcheck
-	}
+	return startOrgServer(t, sectors, stream.RowByRow, nil)
 }
 
 func TestServerRegisterAndReceiveFrames(t *testing.T) {
@@ -426,6 +418,52 @@ func TestChunkDequeShedsOldestData(t *testing.T) {
 		t.Fatal("closed empty deque must report !ok")
 	}
 	d.push(mk(9)) // push after close is a no-op
+}
+
+// TestHubBroadcastsLocatableChunks: the hub hands every subscriber every
+// punctuation and every data chunk that has a location, and drops a points
+// chunk without one (no points, or a NaN coordinate). GSP ingest accepts
+// both, so both can reach a hub.
+func TestHubBroadcastsLocatableChunks(t *testing.T) {
+	lat, err := geom.NewLattice(0, 0, 1, 1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHub(stream.Info{Band: "vis"}, nil, nil)
+	_, a := h.subscribe()
+	_, b := h.subscribe()
+	pt := func(x float64) stream.PointValue {
+		return stream.PointValue{P: geom.Point{S: geom.Vec2{X: x, Y: 0.5}, T: 1}, V: 7}
+	}
+	grid, err := stream.NewGridChunk(1, lat, []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.route(grid)
+	h.route(&stream.Chunk{Kind: stream.KindPoints, T: 1})
+	h.route(&stream.Chunk{Kind: stream.KindPoints, T: 1, Points: []stream.PointValue{pt(0.5), pt(math.NaN())}})
+	h.route(&stream.Chunk{Kind: stream.KindPoints, T: 1, Points: []stream.PointValue{pt(0.5), pt(1.5)}})
+	h.route(stream.NewEndOfSector(1, lat))
+	h.closeAll()
+	want := []stream.Kind{stream.KindGrid, stream.KindPoints, stream.KindEndOfSector}
+	for i, st := range []*stream.Stream{a, b} {
+		var got []stream.Kind
+		for c := range st.C {
+			got = append(got, c.Kind)
+			if c.Kind == stream.KindPoints && len(c.Points) != 2 {
+				t.Fatalf("subscriber %d got a %d-point chunk, want the 2-point one", i, len(c.Points))
+			}
+			c.Release()
+		}
+		if len(got) != len(want) {
+			t.Fatalf("subscriber %d got %v, want %v", i, got, want)
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("subscriber %d got %v, want %v", i, got, want)
+			}
+		}
+	}
 }
 
 func TestFrameHubLegacyPop(t *testing.T) {

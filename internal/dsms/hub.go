@@ -20,12 +20,6 @@ import (
 	"geostreams/internal/stream"
 )
 
-// hub fans one band's instrument stream out to the subscribed query
-// pipelines. It embodies the §4 shared spatial restriction operator: a
-// cascade tree indexes every subscriber's region of interest, each
-// arriving chunk probes the tree with its bounding box, and only matching
-// subscribers receive the chunk. Punctuation goes to everyone (downstream
-// operators need it to flush state).
 // hubState is the supervision lifecycle of a band hub: live while its
 // source delivers, reconnecting while the supervisor retries a dropped
 // source, dead once the source is gone for good (ended unsupervised, or
@@ -50,12 +44,16 @@ func (st hubState) String() string {
 	return "unknown"
 }
 
+// hub fans one band's instrument stream out to its subscribers — the
+// shared trunks and band routers of the share package. It sequences each
+// chunk into the band's store (when one is mounted) and broadcasts it to
+// every subscriber; the §4 shared spatial restriction is the band router
+// downstream, not the hub.
 type hub struct {
 	info stream.Info
 
 	mu     sync.Mutex
 	subs   map[cascade.QueryID]*subscriber
-	index  cascade.Index
 	nextID cascade.QueryID // last subscription id handed out
 	closed bool            // closeAll has run; late subscribers get a closed stream
 
@@ -63,13 +61,10 @@ type hub struct {
 	state      atomic.Int32 // hubState
 	reconnects atomic.Int64
 
-	// Routing telemetry: chunks delivered, data chunks shed because a
-	// subscriber fell behind, total index matches, and data chunks that
-	// matched no subscriber at all.
+	// Routing telemetry: chunks delivered, and data chunks shed because a
+	// subscriber fell behind.
 	delivered atomic.Int64
 	dropped   atomic.Int64
-	routed    atomic.Int64
-	unrouted  atomic.Int64
 
 	// age observes, at routing time, the seconds between a data chunk's
 	// instrument ingest stamp and its arrival at the hub — ingest freshness
@@ -102,7 +97,6 @@ func newHub(info stream.Info, log *obs.Logger, tracer *trace.Tracer) *hub {
 	h := &hub{
 		info:   info,
 		subs:   make(map[cascade.QueryID]*subscriber),
-		index:  cascade.NewTree(),
 		age:    obs.NewDurationHistogram(),
 		tracer: tracer,
 		log:    log.With("band", info.Band),
@@ -132,13 +126,12 @@ func (h *hub) subBudget() int {
 // the pipeline's channel, and detaching closes the deque which closes the
 // channel — no send races, no slow-consumer stalls.
 type subscriber struct {
-	id     cascade.QueryID
-	region geom.Rect
-	deque  *chunkDeque
-	out    chan *stream.Chunk
-	done   chan struct{}
-	once   sync.Once
-	hub    *hub
+	id    cascade.QueryID
+	deque *chunkDeque
+	out   chan *stream.Chunk
+	done  chan struct{}
+	once  sync.Once
+	hub   *hub
 }
 
 func (s *subscriber) forward() {
@@ -184,13 +177,13 @@ func (s *subscriber) detach() {
 	})
 }
 
-// subscribe attaches an interest in this band and returns its
+// subscribe attaches a subscriber to this band and returns its
 // subscription id, drawn from the hub's own counter, for unsubscribe.
 // After the hub has closed (source ended for good), there is nothing left
 // to deliver and nobody will ever finish() a new subscriber, so late
 // subscribers get id 0 and an immediately-closed stream: their pipeline
 // sees a normal end-of-stream and terminates instead of leaking.
-func (h *hub) subscribe(region geom.Rect) (cascade.QueryID, *stream.Stream) {
+func (h *hub) subscribe() (cascade.QueryID, *stream.Stream) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
@@ -201,7 +194,7 @@ func (h *hub) subscribe(region geom.Rect) (cascade.QueryID, *stream.Stream) {
 	h.nextID++
 	id := h.nextID
 	s := &subscriber{
-		id: id, region: region,
+		id: id,
 		deque: newChunkDeque(h.subBudget(), &h.dropped, func(dropped int64) {
 			h.log.Warn("slow consumer shedding data chunks",
 				"subscription", int64(id), "dropped_total", dropped)
@@ -211,7 +204,6 @@ func (h *hub) subscribe(region geom.Rect) (cascade.QueryID, *stream.Stream) {
 		hub:  h,
 	}
 	h.subs[id] = s
-	h.index.Insert(id, region)
 	go s.forward()
 	return id, &stream.Stream{Info: h.info, C: s.out}
 }
@@ -222,7 +214,6 @@ func (h *hub) unsubscribe(id cascade.QueryID) {
 	s, ok := h.subs[id]
 	if ok {
 		delete(h.subs, id)
-		h.index.Remove(id)
 	}
 	h.mu.Unlock()
 	if ok {
@@ -239,7 +230,6 @@ func (h *hub) closeAll() {
 	subs := make([]*subscriber, 0, len(h.subs))
 	for id, s := range h.subs {
 		delete(h.subs, id)
-		h.index.Remove(id)
 		subs = append(subs, s)
 	}
 	h.mu.Unlock()
@@ -276,8 +266,8 @@ func (h *hub) consume(ctx context.Context, stop <-chan struct{}, src *stream.Str
 	}
 }
 
-// route enqueues one chunk for the subscribers whose regions its bounds
-// intersect; punctuation goes to everyone.
+// route enqueues one chunk for every subscriber. A data chunk with no
+// location (a points chunk without a finite point) goes nowhere.
 func (h *hub) route(c *stream.Chunk) {
 	// Stamp unstamped chunks here, at the first point every ingest path
 	// funnels through. Wire-fed chunks usually arrive already stamped (at
@@ -307,36 +297,20 @@ func (h *hub) route(c *stream.Chunk) {
 	if h.hist != nil {
 		h.hist.Append(c)
 	}
-	h.mu.Lock()
+	if c.IsData() && c.Ingest != 0 {
+		h.age.Observe(float64(time.Now().UnixNano()-c.Ingest) / 1e9)
+	}
 	var targets []*subscriber
-	if c.IsData() {
-		if c.Ingest != 0 {
-			h.age.Observe(float64(time.Now().UnixNano()-c.Ingest) / 1e9)
-		}
-		ids := h.index.Probe(c.Bounds(), nil)
-		h.routed.Add(int64(len(ids)))
-		if len(ids) == 0 && len(h.subs) > 0 {
-			// Data outside every subscriber's region: shared restriction
-			// filtered it at the hub (the §4 win); log sparsely.
-			if n := h.unrouted.Add(1); n&(n-1) == 0 {
-				h.log.Debug("chunk matched no subscriber region", "unrouted_total", n)
-			}
-		}
-		for _, id := range ids {
-			if s, ok := h.subs[id]; ok {
-				targets = append(targets, s)
-			}
-		}
-	} else {
+	if !c.IsData() || locatable(c) {
+		h.mu.Lock()
 		for _, s := range h.subs {
 			targets = append(targets, s)
 		}
+		h.mu.Unlock()
 	}
-	h.mu.Unlock()
-
 	if len(targets) == 0 {
-		// Nobody subscribed (or nobody's region matched): the chunk's
-		// journey ends at the hub.
+		// Nobody subscribed, or the chunk has no location: its journey
+		// ends at the hub.
 		c.Release()
 		return
 	}
@@ -352,6 +326,15 @@ func (h *hub) route(c *stream.Chunk) {
 	}
 }
 
+// locatable reports whether a data chunk has a location a subscriber can
+// read. A grid chunk always does (its lattice is validated finite and
+// non-empty); a points chunk only when its bounds form a real rect, so an
+// empty point list or one with a NaN coordinate is not delivered. Only
+// points chunks pay for a bounding box.
+func locatable(c *stream.Chunk) bool {
+	return c.Kind != stream.KindPoints || c.Bounds().Intersects(geom.WorldRect())
+}
+
 // HubStats is the routing telemetry of one band hub. The freshness fields
 // summarize the hub's ingest-age histogram: the observed delay between the
 // instrument stamping a data chunk and the hub routing it.
@@ -362,8 +345,6 @@ type HubStats struct {
 	Subscribers int    `json:"subscribers"`
 	Delivered   int64  `json:"delivered_chunks"`
 	Dropped     int64  `json:"dropped_chunks"`
-	Routed      int64  `json:"routed_matches"`
-	Unrouted    int64  `json:"unrouted_chunks"`
 
 	AgeSamples    int64   `json:"age_samples"`
 	AgeP50Seconds float64 `json:"age_p50_seconds"`
@@ -382,8 +363,6 @@ func (h *hub) stats() HubStats {
 		Subscribers:   n,
 		Delivered:     h.delivered.Load(),
 		Dropped:       h.dropped.Load(),
-		Routed:        h.routed.Load(),
-		Unrouted:      h.unrouted.Load(),
 		AgeSamples:    age.Count,
 		AgeP50Seconds: age.Quantile(0.5),
 		AgeP95Seconds: age.Quantile(0.95),

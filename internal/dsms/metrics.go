@@ -69,71 +69,69 @@ func (s *Server) Collect(e *obs.Exposition) {
 		"Configured hub-to-delivery freshness budget (0 = no SLO).",
 		time.Duration(s.frameAgeSLO.Load()).Seconds())
 
-	if m := s.sharingManager(); m != nil {
-		snap := m.Snapshot()
-		taps := 0
-		for _, tr := range snap.Trunks {
-			taps += tr.Taps
+	snap := s.sharing.Snapshot()
+	taps := 0
+	for _, tr := range snap.Trunks {
+		taps += tr.Taps
+	}
+	e.Gauge("geostreams_shared_trunks",
+		"Shared subplan trunks currently running.",
+		float64(len(snap.Trunks)))
+	e.Gauge("geostreams_shared_taps",
+		"Subscriber taps currently attached across all shared trunks.",
+		float64(taps))
+	e.Counter("geostreams_shared_trunks_created_total",
+		"Shared trunks built since the server started.",
+		float64(snap.Created))
+	e.Counter("geostreams_shared_trunk_reuses_total",
+		"Trunk acquisitions satisfied by an already-running trunk instead of a new pipeline.",
+		float64(snap.Reused))
+	e.Counter("geostreams_shared_trunk_panics_total",
+		"Shared trunks torn down by a recovered operator panic (dependents ended cleanly).",
+		float64(snap.Panicked))
+	for _, tr := range snap.Trunks {
+		sig := obs.L("sig", tr.Short)
+		e.Gauge("geostreams_shared_trunk_refs",
+			"References (mounts and parent trunks) held on this trunk.",
+			float64(tr.Refs), sig)
+		e.Counter("geostreams_shared_trunk_delivered_chunks_total",
+			"Chunks fanned out to this trunk's taps.",
+			float64(tr.Delivered), sig)
+	}
+	live := 0
+	for _, ri := range snap.Routers {
+		if ri.Live {
+			live++
 		}
-		e.Gauge("geostreams_shared_trunks",
-			"Shared subplan trunks currently running.",
-			float64(len(snap.Trunks)))
-		e.Gauge("geostreams_shared_taps",
-			"Subscriber taps currently attached across all shared trunks.",
-			float64(taps))
-		e.Counter("geostreams_shared_trunks_created_total",
-			"Shared trunks built since the server started.",
-			float64(snap.Created))
-		e.Counter("geostreams_shared_trunk_reuses_total",
-			"Trunk acquisitions satisfied by an already-running trunk instead of a new pipeline.",
-			float64(snap.Reused))
-		e.Counter("geostreams_shared_trunk_panics_total",
-			"Shared trunks torn down by a recovered operator panic (dependents ended cleanly).",
-			float64(snap.Panicked))
-		for _, tr := range snap.Trunks {
-			sig := obs.L("sig", tr.Short)
-			e.Gauge("geostreams_shared_trunk_refs",
-				"References (mounts and parent trunks) held on this trunk.",
-				float64(tr.Refs), sig)
-			e.Counter("geostreams_shared_trunk_delivered_chunks_total",
-				"Chunks fanned out to this trunk's taps.",
-				float64(tr.Delivered), sig)
+	}
+	e.Gauge("geostreams_cascade_routers",
+		"Band routers (shared spatial-restriction stages) currently running.",
+		float64(live))
+	for _, ri := range snap.Routers {
+		band := obs.L("band", ri.Band)
+		if ri.Live {
+			e.Gauge("geostreams_cascade_frontiers",
+				"Query crop rects registered in this band's cascade index.",
+				float64(ri.Frontiers), band)
 		}
-		live := 0
-		for _, ri := range snap.Routers {
-			if ri.Live {
-				live++
-			}
-		}
-		e.Gauge("geostreams_cascade_routers",
-			"Band routers (shared spatial-restriction stages) currently running.",
-			float64(live))
-		for _, ri := range snap.Routers {
-			band := obs.L("band", ri.Band)
-			if ri.Live {
-				e.Gauge("geostreams_cascade_frontiers",
-					"Query crop rects registered in this band's cascade index.",
-					float64(ri.Frontiers), band)
-			}
-			e.Counter("geostreams_cascade_probes_total",
-				"Data chunks probed against this band's cascade index.",
-				float64(ri.Probes), band)
-			e.Counter("geostreams_cascade_matches_total",
-				"Chunk x query index matches summed over probes.",
-				float64(ri.Matches), band)
-			e.Counter("geostreams_cascade_crops_total",
-				"Distinct crop chunks computed by the router.",
-				float64(ri.Crops), band)
-			e.Counter("geostreams_cascade_crop_shares_total",
-				"Crop deliveries served by sharing an already-computed crop chunk.",
-				float64(ri.CropShares), band)
-			e.Counter("geostreams_cascade_filtered_chunks_total",
-				"Data chunks dropped by the router because no registered rect intersects them.",
-				float64(ri.Filtered), band)
-			e.Counter("geostreams_cascade_route_seconds_total",
-				"Wall time spent inside the routing stage (probe + crop + hand-off).",
-				float64(ri.RouteNanos)/1e9, band)
-		}
+		e.Counter("geostreams_cascade_probes_total",
+			"Data chunks probed against this band's cascade index.",
+			float64(ri.Probes), band)
+		e.Counter("geostreams_cascade_matches_total",
+			"Chunk x query index matches summed over probes.",
+			float64(ri.Matches), band)
+		e.Counter("geostreams_cascade_crops_total",
+			"Distinct crop chunks computed by the router.",
+			float64(ri.Crops), band)
+		e.Counter("geostreams_cascade_crop_shares_total",
+			"Crop deliveries served by sharing an already-computed crop chunk.",
+			float64(ri.CropShares), band)
+		e.Counter("geostreams_cascade_filtered_chunks_total",
+			"Data chunks dropped by the router because no registered rect intersects them.",
+			float64(ri.Filtered), band)
+		e.Counter("geostreams_cascade_route_seconds_total",
+			"Wall time spent inside the routing stage (probe + crop + hand-off).",
+			float64(ri.RouteNanos)/1e9, band)
 	}
 
 	for _, h := range hubs {
@@ -148,12 +146,6 @@ func (s *Server) Collect(e *obs.Exposition) {
 		e.Counter("geostreams_hub_dropped_chunks_total",
 			"Data chunks shed because a subscriber fell behind.",
 			float64(hs.Dropped), band)
-		e.Counter("geostreams_hub_routed_matches_total",
-			"Cascade-tree index matches (chunk x subscriber pairs).",
-			float64(hs.Routed), band)
-		e.Counter("geostreams_hub_unrouted_chunks_total",
-			"Data chunks that matched no subscriber region.",
-			float64(hs.Unrouted), band)
 		e.Gauge("geostreams_hub_state",
 			"Supervision state of the band's source: 0 live, 1 reconnecting, 2 dead.",
 			float64(h.state.Load()), band)

@@ -21,11 +21,10 @@ import (
 
 // liveVisServer brings up a server over one row-by-row "vis" band whose
 // sectors the test feeds by hand, so it decides when each frame exists.
-func liveVisServer(t *testing.T, sharing bool) (*Server, chan<- *stream.Chunk, stream.Info, func()) {
+func liveVisServer(t *testing.T) (*Server, chan<- *stream.Chunk, stream.Info, func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := NewServer(ctx)
-	s.SetSharing(sharing)
 	info := wireTestInfo(t, "vis")
 	src := make(chan *stream.Chunk, 64)
 	if err := s.AddSource(&stream.Stream{Info: info, C: src}); err != nil {
@@ -33,8 +32,8 @@ func liveVisServer(t *testing.T, sharing bool) (*Server, chan<- *stream.Chunk, s
 	}
 	return s, src, info, func() {
 		// A draining shutdown, not a cancellation: draining closes the
-		// band's hub, which ends even a private pipeline that never saw a
-		// sector, before the server context goes.
+		// band's hub, which ends even a pipeline that never saw a sector,
+		// before the server context goes.
 		drain, done := context.WithTimeout(context.Background(), 10*time.Second)
 		defer done()
 		s.Shutdown(drain) //nolint:errcheck
@@ -88,11 +87,10 @@ func mustRegister(t *testing.T, s *Server, q string, opts DeliveryOptions) *Regi
 
 // TestProductKeyDecidesSharing: whitespace variants of one query join one
 // product, as does a value range spelled out equal to the default; a
-// different colormap or value range is another product, and with sharing
-// off every registration builds its own.
+// different colormap or value range is another product.
 func TestProductKeyDecidesSharing(t *testing.T) {
 	const q = "stretch(vis, linear, 0, 255)"
-	s, _, _, stop := liveVisServer(t, true)
+	s, _, _, stop := liveVisServer(t)
 	defer stop()
 	a := mustRegister(t, s, q, DeliveryOptions{Colormap: "gray"})
 	b := mustRegister(t, s, "stretch(  vis,linear, 0,255 )", DeliveryOptions{Colormap: "gray"})
@@ -122,26 +120,18 @@ func TestProductKeyDecidesSharing(t *testing.T) {
 	if tr := s.ServerStats().Shared.Trunks; len(tr) != 1 || tr[0].Taps != 3 {
 		t.Fatalf("trunks = %+v, want one vis trunk with 3 taps", tr)
 	}
-
-	off, _, _, stopOff := liveVisServer(t, false)
-	defer stopOff()
-	c := mustRegister(t, off, q, DeliveryOptions{Colormap: "gray"})
-	d := mustRegister(t, off, "stretch(  vis,linear, 0,255 )", DeliveryOptions{Colormap: "gray"})
-	if c.product == d.product || c.ProductInfo().Digest == d.ProductInfo().Digest {
-		t.Fatal("sharing off: two registrations share a product")
-	}
 }
 
 // TestProductHandlesMatchPrivateFrames: two handles on one product each
 // drain the full frame sequence through NextFrame, concurrently, and every
-// frame is byte-identical to what a sharing-off server renders — while
-// the product encoded each sector once.
+// frame is byte-identical to what the library oracle renders — while the
+// product encoded each sector once.
 func TestProductHandlesMatchPrivateFrames(t *testing.T) {
 	const sectors = 3
 	const q = "stretch(ndvi(nir, vis), linear, 0, 255)"
 	opts := DeliveryOptions{Colormap: "ndvi"}
 
-	s, stop := startSharedServer(t, sectors)
+	s, stop := startServer(t, sectors)
 	defer stop()
 	owner := mustRegister(t, s, q, opts)
 	handle := mustRegister(t, s, "stretch(ndvi( nir,  vis), linear, 0, 255)", opts)
@@ -166,23 +156,8 @@ func TestProductHandlesMatchPrivateFrames(t *testing.T) {
 	}
 	wg.Wait()
 
-	p, stopP := startServer(t, sectors)
-	defer stopP()
-	private := mustRegister(t, p, q, opts)
-	p.Start()
-	want := collectFrames(t, private)
-	if len(want) != sectors {
-		t.Fatalf("private server delivered %d frames, want %d", len(want), sectors)
-	}
 	for i := range got {
-		if len(got[i]) != sectors {
-			t.Fatalf("handle %d drained %d frames, want %d", i, len(got[i]), sectors)
-		}
-		for k := range want {
-			if !bytes.Equal(got[i][k], want[k]) {
-				t.Fatalf("handle %d frame %d differs from the sharing-off frame", i, k)
-			}
-		}
+		assertFramesMatch(t, fmt.Sprintf("handle %d", i), got[i], q, opts.Colormap, sectors)
 	}
 	if n := s.ServerStats().FramesEncoded; n != sectors {
 		t.Fatalf("frames encoded = %d, want %d (one per sector)", n, sectors)
@@ -199,7 +174,7 @@ func TestProductHandlesMatchPrivateFrames(t *testing.T) {
 // push subscription — but not the product; the remaining handle keeps
 // receiving frames.
 func TestProductOutlivesItsOwner(t *testing.T) {
-	s, src, info, stop := liveVisServer(t, true)
+	s, src, info, stop := liveVisServer(t)
 	defer stop()
 	const q = "stretch(vis, linear, 0, 255)"
 	owner := mustRegister(t, s, q, DeliveryOptions{})
@@ -256,7 +231,7 @@ func TestProductOutlivesItsOwner(t *testing.T) {
 // SubscribeFrames, NextFrame, cursor=oldest or an explicit older cursor —
 // and its delivery counters start at zero.
 func TestProductHandleStartsAtRegistration(t *testing.T) {
-	s, src, info, stop := liveVisServer(t, true)
+	s, src, info, stop := liveVisServer(t)
 	defer stop()
 	const q = "stretch(vis, linear, 0, 255)"
 	owner := mustRegister(t, s, q, DeliveryOptions{})
@@ -322,7 +297,7 @@ func TestProductHandleStartsAtRegistration(t *testing.T) {
 // product is deregistered — owners first — pooled PNG backings, pooled
 // chunks and goroutines are back at their pre-registration baselines.
 func TestProductTeardownRestoresBaselines(t *testing.T) {
-	s, src, info, stop := liveVisServer(t, true)
+	s, src, info, stop := liveVisServer(t)
 	defer stop()
 	s.Start()
 	goroutines, pngs, pooled := runtime.NumGoroutine(), pngLive.Load(), stream.PooledLive()
@@ -381,7 +356,6 @@ func TestProductEncodesOncePerSectorOnBenchmarkMix(t *testing.T) {
 	defer cancel()
 	s := NewServer(ctx)
 	defer s.Close() //nolint:errcheck
-	s.SetSharing(true)
 	im, err := sat.NewLatLonImager(region, 64, 48, sat.DefaultScene(7),
 		[]string{"vis", "nir"}, stream.RowByRow, sectors)
 	if err != nil {

@@ -89,9 +89,9 @@ type Server struct {
 	// Set with SetStore before AddSource; nil keeps the server live-only.
 	hist *store.Store
 
-	// sharing, when non-nil, is the shared-trunk DAG queries mount onto
-	// instead of building private duplicates of common subplans. Enabled
-	// with SetSharing; nil keeps the fully private per-query pipelines.
+	// sharing is the shared-trunk DAG every live query mounts onto instead
+	// of building private duplicates of common subplans. Created in
+	// NewServer; never nil.
 	sharing *share.Manager
 
 	// pipelineWrap, when non-nil, interposes on every query pipeline's
@@ -160,6 +160,10 @@ func NewServer(ctx context.Context) *Server {
 	s.registry.Register(obs.CollectorFunc(s.tracer.Collect))
 	s.healthz = s.registry.Counter("geostreams_healthz_checks_total",
 		"GET /healthz probes answered (any status).")
+	s.sharing = share.NewManager(ctx, hubSubscriber{s})
+	// Trunk operator and fanout spans belong to the shared ring: a trunk
+	// serves many queries, so no single query's ring may claim its spans.
+	s.sharing.SetTrace(s.tracer.Shared())
 	return s
 }
 
@@ -479,29 +483,20 @@ func (s *Server) Explain(text string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	// With sharing enabled, mark the operators that would run on shared
-	// trunks with the digest of the trunk they mount under; with a
-	// historical store mounted, mark temporal restrictions that lower to
-	// store scans with [store].
-	var annotate func(query.Node) string
-	var shareAnn func(query.Node) string
-	if s.sharingManager() != nil {
-		shareAnn = shareAnnotator(fused)
-	}
-	if storeOn := s.histStore() != nil; storeOn || shareAnn != nil {
-		annotate = func(n query.Node) string {
-			var tag string
-			if shareAnn != nil {
-				tag = shareAnn(n)
+	// Mark the operators that would run on shared trunks with the digest
+	// of the trunk they mount under; with a historical store mounted, mark
+	// temporal restrictions that lower to store scans with [store].
+	shareAnn := shareAnnotator(fused)
+	storeOn := s.histStore() != nil
+	annotate := func(n query.Node) string {
+		tag := shareAnn(n)
+		if _, ok := n.(*query.RestrictT); ok && storeOn {
+			if tag != "" {
+				tag += " "
 			}
-			if _, ok := n.(*query.RestrictT); ok && storeOn {
-				if tag != "" {
-					tag += " "
-				}
-				tag += "[store]"
-			}
-			return tag
+			tag += "[store]"
 		}
+		return tag
 	}
 	optimized, err := query.ExplainAnnotated(fused, catalog, annotate)
 	if err != nil {
@@ -537,9 +532,8 @@ func (s *Server) admit() (release func(), err error) {
 }
 
 // Register parses, validates, optimizes, and launches a continuous query.
-// Under shared execution a query whose product (productKey) is already
-// live becomes a handle on it: no pipeline, encode or frame ring of its
-// own.
+// A query whose product (productKey) is already live becomes a handle on
+// it: no pipeline, encode or frame ring of its own.
 func (s *Server) Register(text string, opts DeliveryOptions) (*Registered, error) {
 	release, err := s.admit()
 	if err != nil {
@@ -586,8 +580,7 @@ func (s *Server) Register(text string, opts DeliveryOptions) (*Registered, error
 	s.nextID++
 	id := s.nextID
 	wrap := s.pipelineWrap
-	sharing := s.sharing
-	joinable := sharing != nil && specs == nil
+	joinable := specs == nil
 	// A product whose pipeline just ended is about to leave the map; build
 	// a fresh one rather than join it.
 	if p := s.products[key]; joinable && p != nil && !isClosed(p.stopped) {
@@ -601,7 +594,7 @@ func (s *Server) Register(text string, opts DeliveryOptions) (*Registered, error
 	}
 	s.mu.Unlock()
 
-	p, out, err := s.buildProduct(id, opt, opts, specs, sharing, wrap)
+	p, out, err := s.buildProduct(id, opt, opts, specs, wrap)
 	if err != nil {
 		return nil, err
 	}
@@ -619,25 +612,24 @@ func (s *Server) Register(text string, opts DeliveryOptions) (*Registered, error
 	s.mu.Unlock()
 	release()
 	log.Info("query registered", "query", int64(id), "plan", query.Format(opt),
-		"bands", len(p.bands), "operators", len(p.stats),
+		"operators", len(p.stats),
 		"shared_trunks", len(p.shared), "store_scan", specs != nil, "product", p.digest)
 	p.run(out, log)
 	return r, nil
 }
 
-// buildProduct builds a query's pipeline one of three ways — over spliced
-// store sources (specs non-nil), mounted on shared trunks, or private —
-// and wraps it in a product whose delivery stage p.run starts.
+// buildProduct builds a query's pipeline — over spliced store sources
+// (specs non-nil) or mounted on shared trunks — and wraps it in a product
+// whose delivery stage p.run starts.
 func (s *Server) buildProduct(id cascade.QueryID, opt query.Node, opts DeliveryOptions, specs []spliceSpec,
-	sharing *share.Manager, wrap func(*stream.Group, *stream.Stream) *stream.Stream) (*product, *stream.Stream, error) {
+	wrap func(*stream.Group, *stream.Stream) *stream.Stream) (*product, *stream.Stream, error) {
 	qg := stream.NewGroup(s.ctx)
 	var (
-		out        *stream.Stream
-		stats      []*stream.Stats
-		detach     func()
-		subscribed []string
-		shared     []string
-		err        error
+		out    *stream.Stream
+		stats  []*stream.Stats
+		detach func()
+		shared []string
+		err    error
 	)
 	if specs != nil {
 		var sources map[string]*stream.Stream
@@ -647,44 +639,12 @@ func (s *Server) buildProduct(id cascade.QueryID, opt query.Node, opts DeliveryO
 			detach()
 			return nil, nil, err
 		}
-	} else if sharing != nil {
-		// Shared execution: mount the plan's shareable frontier onto the
-		// trunk DAG and build only the private suffix. Sources feed the
-		// trunks; this query holds no hub subscriptions of its own.
-		out, stats, shared, detach, err = s.buildShared(qg, opt, sharing)
-		if err != nil {
-			return nil, nil, err
-		}
 	} else {
-		// Private execution: subscribe to every band the plan reads,
-		// registering each band interest in the hub's cascade tree under
-		// the subscription id that hub hands back.
-		interests := query.Interests(opt)
-		sources := make(map[string]*stream.Stream, len(interests))
-		subIDs := make(map[*hub]cascade.QueryID, len(interests))
-		detach = func() {
-			for h, sid := range subIDs {
-				h.unsubscribe(sid)
-			}
-		}
-		s.mu.Lock()
-		for band, rect := range interests {
-			h, ok := s.hubs[band]
-			if !ok {
-				s.mu.Unlock()
-				detach()
-				return nil, nil, fmt.Errorf("dsms: no source for band %q", band)
-			}
-			var sid cascade.QueryID
-			sid, sources[band] = h.subscribe(rect)
-			subIDs[h] = sid
-			subscribed = append(subscribed, band)
-		}
-		s.mu.Unlock()
-
-		out, stats, err = query.Build(qg, opt, sources)
+		// Mount the plan's shareable frontier onto the trunk DAG and build
+		// only the private suffix. Sources feed the trunks; this query
+		// holds no hub subscriptions of its own.
+		out, stats, shared, detach, err = s.buildShared(qg, opt)
 		if err != nil {
-			detach()
 			return nil, nil, err
 		}
 	}
@@ -713,7 +673,6 @@ func (s *Server) buildProduct(id cascade.QueryID, opt query.Node, opts DeliveryO
 		deliv:   newDeliveryStats(),
 		group:   qg,
 		server:  s,
-		bands:   subscribed,
 		shared:  shared,
 		detach:  detach,
 		taps:    taps,
@@ -745,8 +704,8 @@ func (p *product) run(out *stream.Stream, log *obs.Logger) {
 		}
 		p.err = err
 		// The pipeline is gone (completed, failed, or cancelled): detach
-		// from the data plane — abort still-attached hub subscriptions, or
-		// release the shared-trunk mounts — so nothing feeds a dead query.
+		// from the data plane — release the shared-trunk mounts, or the
+		// store tails — so nothing feeds a dead query.
 		p.detach()
 		close(p.stopped)
 		// A later registration of the same product builds a fresh one
@@ -792,9 +751,8 @@ func (s *Server) Deregister(id cascade.QueryID) error {
 	if !last {
 		return nil
 	}
-	// Detaching closes the product's input streams (hub subscriptions,
-	// shared-trunk taps, or store tails), so the pipeline ends and the
-	// wait below returns.
+	// Detaching closes the product's input streams (shared-trunk taps or
+	// store tails), so the pipeline ends and the wait below returns.
 	r.detach()
 	<-r.stopped
 	// The product is gone from every surface; drop its span ring. (A query
@@ -872,10 +830,8 @@ func (s *Server) ServerStats() ServerStats {
 		Draining:          draining,
 		UptimeSeconds:     time.Since(started).Seconds(),
 	}
-	if m := s.sharingManager(); m != nil {
-		snap := m.Snapshot()
-		st.Shared = &snap
-	}
+	snap := s.sharing.Snapshot()
+	st.Shared = &snap
 	if is := s.IngestStats(); is.Listening {
 		st.Ingest = &is
 	}

@@ -4,48 +4,16 @@ import (
 	"context"
 	"fmt"
 
-	"geostreams/internal/geom"
 	"geostreams/internal/query"
 	"geostreams/internal/share"
 	"geostreams/internal/stream"
 )
 
-// SetSharing toggles shared multi-query execution. With sharing on, every
-// registered query's plan is canonicalized after Optimize+Fuse and its
-// shareable frontier subtrees mount onto the server's shared-trunk DAG:
-// queries with a common prefix (identical operators and parameters, after
-// commutative normalization) run that prefix once per chunk instead of per
-// query. Off (the default for directly constructed servers; geoserver turns
-// it on) every query builds its private pipeline, the pre-sharing behavior.
-//
-// Toggling affects queries registered afterwards; running queries keep the
-// execution mode they were built with.
-func (s *Server) SetSharing(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if on && s.sharing == nil {
-		s.sharing = share.NewManager(s.ctx, hubSubscriber{s})
-		// Trunk operator and fanout spans belong to the shared ring: a
-		// trunk serves many queries, so no single query's ring may claim
-		// its spans.
-		s.sharing.SetTrace(s.tracer.Shared())
-	} else if !on {
-		s.sharing = nil
-	}
-}
-
-func (s *Server) sharingManager() *share.Manager {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sharing
-}
-
 // hubSubscriber adapts the ingest hubs to share.Subscriber: each band trunk
-// subscribes once, with a world-rect interest. The interest is deliberately
-// conservative — one trunk feeds every query sharing it, and their union of
-// regions changes as queries come and go — while exactness is preserved by
-// the trunk's own operators: any rselect in a shared prefix filters
-// bit-exactly, it just filters after routing instead of before.
+// (or band router) subscribes once and receives every chunk of the band.
+// Spatial restriction happens in the trunk DAG — the band router crops
+// chunks for the registered rects, and any other rselect in a shared
+// prefix filters bit-exactly — not at the hub.
 type hubSubscriber struct{ s *Server }
 
 func (hs hubSubscriber) Subscribe(band string, _ *stream.Group) (*stream.Stream, func(), error) {
@@ -56,7 +24,7 @@ func (hs hubSubscriber) Subscribe(band string, _ *stream.Group) (*stream.Stream,
 		s.mu.Unlock()
 		return nil, nil, fmt.Errorf("dsms: no source for band %q", band)
 	}
-	id, st := h.subscribe(geom.WorldRect())
+	id, st := h.subscribe()
 	s.mu.Unlock()
 	return st, func() { h.unsubscribe(id) }, nil
 }
@@ -67,7 +35,7 @@ func (hs hubSubscriber) Subscribe(band string, _ *stream.Group) (*stream.Stream,
 // (sources are shareable leaves), so the query makes no private hub
 // subscriptions at all. Returns the output stream, the merged stats, the
 // mounted trunk digests, and the detach that releases every mount.
-func (s *Server) buildShared(qg *stream.Group, plan query.Node, m *share.Manager) (*stream.Stream, []*stream.Stats, []string, func(), error) {
+func (s *Server) buildShared(qg *stream.Group, plan query.Node) (*stream.Stream, []*stream.Stats, []string, func(), error) {
 	roots := query.ShareFrontier(plan)
 	mounts := make(map[query.Node]*share.Mount, len(roots))
 	release := func() {
@@ -84,7 +52,7 @@ func (s *Server) buildShared(qg *stream.Group, plan query.Node, m *share.Manager
 	sigs := make([]string, 0, len(roots))
 	pre := make(map[query.Node]*stream.Stream, len(roots))
 	for _, root := range roots {
-		mt, err := m.Acquire(root)
+		mt, err := s.sharing.Acquire(root)
 		if err != nil {
 			release()
 			return nil, nil, nil, nil, err

@@ -13,20 +13,12 @@ import (
 	"geostreams/internal/stream"
 )
 
-// startSharedServer is startServer with shared multi-query execution on.
-func startSharedServer(t *testing.T, sectors int) (*Server, func()) {
-	t.Helper()
-	s, stop := startServer(t, sectors)
-	s.SetSharing(true)
-	return s, stop
-}
-
 // TestSharedIdenticalQueriesShareTrunkAndSource: two identical plans run
 // one trunk, and the band hub carries one subscription (the trunk's), not
 // one per query. The colormaps differ, so these are two products — two
 // pipelines mounting one trunk — rather than two handles on one product.
 func TestSharedIdenticalQueriesShareTrunkAndSource(t *testing.T) {
-	s, stop := startSharedServer(t, 3)
+	s, stop := startServer(t, 3)
 	defer stop()
 	const q = "rselect(vis, rect(-121.6, 36.4, -120.4, 37.6))"
 
@@ -49,9 +41,6 @@ func TestSharedIdenticalQueriesShareTrunkAndSource(t *testing.T) {
 			r1.Status().SharedTrunks, r2.Status().SharedTrunks)
 	}
 	st := s.ServerStats()
-	if st.Shared == nil {
-		t.Fatal("ServerStats.Shared is nil with sharing enabled")
-	}
 	if st.Shared.Reused == 0 {
 		t.Fatalf("second identical query did not reuse the trunk: %+v", *st.Shared)
 	}
@@ -83,7 +72,7 @@ func TestSharedIdenticalQueriesShareTrunkAndSource(t *testing.T) {
 // TestSharedCommutativeTrunks: A+B and B+A share one trunk; A−B and B−A
 // must not.
 func TestSharedCommutativeTrunks(t *testing.T) {
-	s, stop := startSharedServer(t, 2)
+	s, stop := startServer(t, 2)
 	defer stop()
 
 	add1, err := s.Register("(nir + vis)", DeliveryOptions{})
@@ -115,7 +104,7 @@ func TestSharedCommutativeTrunks(t *testing.T) {
 // every frame, and no shared trunk dies. The twins differ in colormap so
 // they are distinct products, each with its own suffix, over one trunk.
 func TestSharedSuffixPanicIsolation(t *testing.T) {
-	s, stop := startSharedServer(t, 3)
+	s, stop := startServer(t, 3)
 	defer stop()
 	const q = "rselect(vis, rect(-121.6, 36.4, -120.4, 37.6))"
 
@@ -177,7 +166,7 @@ func TestSharedSuffixPanicIsolation(t *testing.T) {
 // TestSharedDeregisterReleasesTrunks: deregistering every query tears the
 // trunk DAG down to empty, including the hub subscriptions the trunks held.
 func TestSharedDeregisterReleasesTrunks(t *testing.T) {
-	s, stop := startSharedServer(t, 2)
+	s, stop := startServer(t, 2)
 	defer stop()
 	const q = "vselect(ndvi(nir, vis), above(0.2))"
 
@@ -212,20 +201,20 @@ func TestSharedDeregisterReleasesTrunks(t *testing.T) {
 }
 
 // TestQueryIDsDenseAndHubSubscriptionsOwned: query ids count registrations
-// only, whether or not sharing subscribes trunks to the hubs, and each
+// only, not the hub subscriptions trunks and routers make, and each
 // deregistration detaches exactly the hub subscriptions its query holds.
 // A is a routed crop (the vis band router's subscription), B a source
-// trunk (one nir subscription), C private (one vis and one nir
-// subscription of its own), so every victim leaves a distinct count.
+// trunk (one nir subscription), C a vis source trunk beside a nir crop
+// (the vis trunk's and the nir router's subscriptions), so every victim
+// leaves a distinct count.
 func TestQueryIDsDenseAndHubSubscriptionsOwned(t *testing.T) {
 	queries := []struct {
-		text   string
-		shared bool
-		subs   map[string]int
+		text string
+		subs map[string]int
 	}{
-		{"rselect(vis, rect(-121.6, 36.4, -120.4, 37.6))", true, map[string]int{"vis": 1}},
-		{"scale(nir, 2, 1)", true, map[string]int{"nir": 1}},
-		{"ndvi(nir, vis)", false, map[string]int{"vis": 1, "nir": 1}},
+		{"rselect(vis, rect(-121.6, 36.4, -120.4, 37.6))", map[string]int{"vis": 1}},
+		{"scale(nir, 2, 1)", map[string]int{"nir": 1}},
+		{"(vis - rselect(nir, rect(-121.5, 36.5, -120.5, 37.5)))", map[string]int{"vis": 1, "nir": 1}},
 	}
 	hubSubs := func(s *Server) map[string]int {
 		out := map[string]int{}
@@ -238,7 +227,6 @@ func TestQueryIDsDenseAndHubSubscriptionsOwned(t *testing.T) {
 		s, stop := startServer(t, 2)
 		regs := make([]*Registered, len(queries))
 		for i, q := range queries {
-			s.SetSharing(q.shared)
 			r, err := s.Register(q.text, DeliveryOptions{Colormap: "gray"})
 			if err != nil {
 				t.Fatal(err)
@@ -280,7 +268,7 @@ func TestQueryIDsDenseAndHubSubscriptionsOwned(t *testing.T) {
 // trunk — only the subtree below it is shared — and the query still
 // delivers frames.
 func TestSharedStretchStaysPrivate(t *testing.T) {
-	s, stop := startSharedServer(t, 2)
+	s, stop := startServer(t, 2)
 	defer stop()
 
 	r, err := s.Register(
@@ -312,7 +300,7 @@ func TestSharedStretchStaysPrivate(t *testing.T) {
 
 // TestSharedExplainAnnotates: EXPLAIN marks trunk-mounted operators.
 func TestSharedExplainAnnotates(t *testing.T) {
-	s, stop := startSharedServer(t, 2)
+	s, stop := startServer(t, 2)
 	defer stop()
 	out, err := s.Explain("vselect(ndvi(nir, vis), above(0.2))")
 	if err != nil {
@@ -334,7 +322,6 @@ func TestDeregisterUnblocksSharedSuffixOnLiveSource(t *testing.T) {
 	defer cancel()
 	s := NewServer(ctx)
 	defer s.Close() //nolint:errcheck
-	s.SetSharing(true)
 	info := wireTestInfo(t, "vis")
 	src := make(chan *stream.Chunk, 64)
 	if err := s.AddSource(&stream.Stream{Info: info, C: src}); err != nil {

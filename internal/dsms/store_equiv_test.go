@@ -11,7 +11,6 @@ import (
 
 	"geostreams/internal/geom"
 	"geostreams/internal/query"
-	"geostreams/internal/sat"
 	"geostreams/internal/store"
 	"geostreams/internal/stream"
 )
@@ -31,13 +30,7 @@ func startOrgServer(t *testing.T, sectors int, org stream.Organization, st *stor
 	if st != nil {
 		s.SetStore(st)
 	}
-	scene := sat.DefaultScene(99)
-	im, err := sat.NewLatLonImager(geom.R(-122, 36, -120, 38), 24, 20, scene,
-		[]string{"vis", "nir"}, org, sectors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streams, err := im.Streams(s.Group())
+	streams, err := testImager(t, org, sectors).Streams(s.Group())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,12 +121,7 @@ func runStoreFingerprint(t *testing.T, s *Server, st *store.Store, q string) que
 func runLiveFingerprint(t *testing.T, q string, org stream.Organization, sectors int) query.Fingerprint {
 	t.Helper()
 	g := stream.NewGroup(context.Background())
-	scene := sat.DefaultScene(99)
-	im, err := sat.NewLatLonImager(geom.R(-122, 36, -120, 38), 24, 20, scene,
-		[]string{"vis", "nir"}, org, sectors)
-	if err != nil {
-		t.Fatal(err)
-	}
+	im := testImager(t, org, sectors)
 	sources, err := im.Streams(g)
 	if err != nil {
 		t.Fatal(err)

@@ -150,7 +150,7 @@ func TestWebSocketPingPongLifecycle(t *testing.T) {
 	// keep flowing, but only pongs extend the peer's read deadline.
 	s, stop := startServer(t, 10000)
 	defer stop()
-	s.wsPingEvery = 20 * time.Millisecond
+	s.wsPingEvery = 200 * time.Millisecond
 
 	reg, err := s.Register("rselect(vis, rect(-121.6, 36.4, -120.4, 37.6))",
 		DeliveryOptions{Colormap: "gray"})
@@ -170,7 +170,8 @@ func TestWebSocketPingPongLifecycle(t *testing.T) {
 	defer c.Close()
 
 	// Phase 1: answer two pings; the connection must survive well past the
-	// pong grace (3x ping = 60ms).
+	// pong grace (3x ping = 600ms). The grace is generous so a loaded host
+	// cannot let it lapse between an answered pong and the check below.
 	for answered := 0; answered < 2; {
 		c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
 		op, p, err := c.ReadMessage()
