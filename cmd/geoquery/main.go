@@ -60,8 +60,8 @@ func main() {
 		"bearer token for servers running with -auth-token")
 	fs.Parse(os.Args[2:]) //nolint:errcheck // ExitOnError
 
-	// Unary calls get the client's per-request deadline; NextFrame derives
-	// its own from -wait, so no client-wide timeout gymnastics are needed.
+	// Unary calls get the client's per-request deadline; frame polls derive
+	// their own from -wait, so no client-wide timeout gymnastics are needed.
 	c := dsms.NewClient(*server)
 	c.Token = *token
 
@@ -87,10 +87,12 @@ func main() {
 	case "frames":
 		requireID(*id)
 		fatal(os.MkdirAll(*out, 0o755))
+		fc := c.Frames(*id)
 		for i := 0; i < *n; i++ {
-			f, ok, err := c.NextFrame(*id, *wait)
+			f, ok, err := fc.Next(*wait)
 			fatal(err)
 			if !ok {
+				// The query ended (fc.Ended()), or -wait passed with no frame.
 				fmt.Println("no more frames")
 				return
 			}

@@ -107,7 +107,7 @@ func main() {
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	debug := flag.Bool("debug", false, "mount net/http/pprof under /debug/pprof/")
 	parallelism := flag.Int("parallelism", 0,
-		"worker count for data-parallel grid kernels (0 = GOMAXPROCS; overrides GEOSTREAMS_PARALLELISM)")
+		"worker count for data-parallel grid kernels (0 = GOMAXPROCS)")
 	ingest := flag.String("ingest", "",
 		"GSP ingest listen address for remote instrument feeds (empty = disabled)")
 	local := flag.Bool("local", true,

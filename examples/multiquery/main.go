@@ -80,8 +80,9 @@ func main() {
 		go func(i int, r reg) {
 			defer wg.Done()
 			frames, bytes := 0, 0
+			fc := client.Frames(r.id)
 			for {
-				f, ok, err := client.NextFrame(r.id, 10*time.Second)
+				f, ok, err := fc.Next(10 * time.Second)
 				if err != nil {
 					results[i] = fmt.Sprintf("%-16s error: %v", r.label, err)
 					return

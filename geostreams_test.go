@@ -263,7 +263,7 @@ func TestFacadeServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Start()
-	f, ok, err := client.NextFrame(int64(qi.ID), 5*time.Second)
+	f, ok, err := client.Frames(int64(qi.ID)).Next(5 * time.Second)
 	if err != nil || !ok || len(f.PNG) == 0 {
 		t.Fatalf("frame: %v ok=%v", err, ok)
 	}

@@ -26,8 +26,8 @@ func intRect(rng *rand.Rand, span int) geom.Rect {
 
 // TestIndexBoundarySemantics pins the closed-interval contract: every index
 // must agree with direct geom.RectRegion.Contains / Rect.Intersects on rect
-// edges and corners. Rects and probes share integer coordinates, so stab
-// points land exactly on region edges and on tree split lines, and probe
+// edges and corners. Rects and probes share integer coordinates, so point
+// probes land exactly on region edges and on tree split lines, and probe
 // rects share edges with regions — where half-open descent logic silently
 // drops matches.
 func TestIndexBoundarySemantics(t *testing.T) {
@@ -57,7 +57,7 @@ func TestIndexBoundarySemantics(t *testing.T) {
 			for _, idx := range indexes {
 				idx.Remove(id)
 			}
-		case op < 7: // stab at an integer point (lands on edges/corners)
+		case op < 7: // point probe at an integer point (lands on edges/corners)
 			p := geom.V2(float64(rng.Intn(span+1)), float64(rng.Intn(span+1)))
 			var want []QueryID
 			for id, r := range regions {
@@ -66,8 +66,8 @@ func TestIndexBoundarySemantics(t *testing.T) {
 				}
 			}
 			for _, idx := range indexes {
-				if got := idx.Stab(p, nil); !equalIDs(got, want) {
-					t.Fatalf("step %d: %s.Stab(%v) = %v, want %v (direct Contains)",
+				if got := idx.Probe(pointRect(p), nil); !equalIDs(got, want) {
+					t.Fatalf("step %d: %s point probe at %v = %v, want %v (direct Contains)",
 						step, idx.name, p, got, want)
 				}
 			}
@@ -92,8 +92,8 @@ func TestIndexBoundarySemantics(t *testing.T) {
 // TestTreeStabOnSplitLine is the distilled boundary regression. Three
 // regions with centers 5, 10, 15 force a split exactly at x=10 (the median):
 // region 1 (MaxX == 10) lands in the lo child, region 3 (MinX == 10) in hi,
-// region 2 spans and stays resident. A stab at x=10 lies in all three
-// (closed rects), but the single-path descent used to pick hi only and miss
+// region 2 spans and stays resident. The point x=10 lies in all three
+// (closed rects), but a single-path descent picked hi only and missed
 // region 1; a probe starting at x=10 likewise skipped the lo child.
 func TestTreeStabOnSplitLine(t *testing.T) {
 	tree := NewTree()
@@ -101,12 +101,12 @@ func TestTreeStabOnSplitLine(t *testing.T) {
 	tree.Insert(1, geom.R(0, 0, 10, 20))
 	tree.Insert(2, geom.R(8, 0, 12, 20))
 	tree.Insert(3, geom.R(10, 0, 20, 20))
-	if d := tree.Depth(); d < 2 {
+	if d := treeDepth(tree); d < 2 {
 		t.Fatalf("setup failed: tree did not split (depth %d)", d)
 	}
 	p := geom.V2(10, 5)
-	if got := tree.Stab(p, nil); !equalIDs(got, []QueryID{1, 2, 3}) {
-		t.Fatalf("Stab on split line = %v, want [1 2 3]", got)
+	if got := tree.Probe(pointRect(p), nil); !equalIDs(got, []QueryID{1, 2, 3}) {
+		t.Fatalf("point probe on split line = %v, want [1 2 3]", got)
 	}
 	if got := tree.Probe(geom.R(10, 0, 11, 20), nil); !equalIDs(got, []QueryID{1, 2, 3}) {
 		t.Fatalf("Probe touching split line = %v, want [1 2 3]", got)
@@ -115,7 +115,7 @@ func TestTreeStabOnSplitLine(t *testing.T) {
 
 // TestTreeDegenerateRects: empty and inverted rects must register, count,
 // replace, and remove without corrupting the partition — and must never
-// answer a stab or probe (an empty rect contains nothing). Before the
+// answer a probe (an empty rect contains nothing). Before the
 // side-set fix their ±Inf coordinates reached the split median as NaN,
 // making whole subtrees unreachable.
 func TestTreeDegenerateRects(t *testing.T) {
@@ -138,17 +138,17 @@ func TestTreeDegenerateRects(t *testing.T) {
 	}
 	for i := 100; i < 140; i++ {
 		x := float64(i - 100)
-		if got := tree.Stab(geom.V2(x+0.5, x+0.5), nil); !equalIDs(got, []QueryID{QueryID(i)}) {
+		if got := tree.Probe(pointRect(geom.V2(x+0.5, x+0.5)), nil); !equalIDs(got, []QueryID{QueryID(i)}) {
 			t.Fatalf("region %d unroutable alongside empty rects: %v", i, got)
 		}
 	}
 	// Replace an empty with a real rect and vice versa.
 	tree.Insert(3, geom.R(500, 500, 501, 501))
-	if got := tree.Stab(geom.V2(500.5, 500.5), nil); !equalIDs(got, []QueryID{3}) {
+	if got := tree.Probe(pointRect(geom.V2(500.5, 500.5)), nil); !equalIDs(got, []QueryID{3}) {
 		t.Fatalf("empty→real replace not routable: %v", got)
 	}
 	tree.Insert(3, geom.EmptyRect())
-	if got := tree.Stab(geom.V2(500.5, 500.5), nil); len(got) != 0 {
+	if got := tree.Probe(pointRect(geom.V2(500.5, 500.5)), nil); len(got) != 0 {
 		t.Fatalf("real→empty replace still routable: %v", got)
 	}
 	if tree.Len() != 20+40 {
@@ -178,13 +178,13 @@ func TestTreeInfiniteExtentRegions(t *testing.T) {
 	}
 	for i := 10; i < 60; i++ {
 		x := float64(i)
-		got := tree.Stab(geom.V2(x+0.5, x+0.5), nil)
+		got := tree.Probe(pointRect(geom.V2(x+0.5, x+0.5)), nil)
 		if !equalIDs(got, []QueryID{1, QueryID(i)}) {
-			t.Fatalf("stab at %v = %v, want [1 %d] (world + tile)", x+0.5, got, i)
+			t.Fatalf("point probe at %v = %v, want [1 %d] (world + tile)", x+0.5, got, i)
 		}
 	}
-	if got := tree.Stab(geom.V2(-100, 0.5), nil); !equalIDs(got, []QueryID{1, 2}) {
-		t.Fatalf("half-plane stab = %v, want [1 2]", got)
+	if got := tree.Probe(pointRect(geom.V2(-100, 0.5)), nil); !equalIDs(got, []QueryID{1, 2}) {
+		t.Fatalf("half-plane point probe = %v, want [1 2]", got)
 	}
 }
 
@@ -206,13 +206,13 @@ func TestTreeReplaceDuringRebuild(t *testing.T) {
 		// The previous rect of id 7 must be gone from routing entirely.
 		if rep > 0 {
 			prev := float64(1000 + rep - 1)
-			for _, id := range tree.Stab(geom.V2(prev+0.5, 0.5), nil) {
+			for _, id := range tree.Probe(pointRect(geom.V2(prev+0.5, 0.5)), nil) {
 				if id == 7 {
 					t.Fatalf("rep %d: stale rect of id 7 still routable after replace", rep)
 				}
 			}
 		}
-		if got := tree.Stab(geom.V2(x+0.5, 0.5), nil); !equalIDs(got, []QueryID{7}) {
+		if got := tree.Probe(pointRect(geom.V2(x+0.5, 0.5)), nil); !equalIDs(got, []QueryID{7}) {
 			t.Fatalf("rep %d: new rect of id 7 not routable: %v", rep, got)
 		}
 	}
@@ -224,7 +224,7 @@ func TestTreeReplaceDuringRebuild(t *testing.T) {
 // TestIndexOracle1000 is the randomized equivalence suite the issue asks
 // for: 1000 independent trials, each a fresh workload of inserts, removes,
 // duplicate re-inserts, and degenerate rects, with Naive as the oracle for
-// Tree on every stab and probe. Runs under -race in CI.
+// Tree on every point probe and rect probe. Runs under -race in CI.
 func TestIndexOracle1000(t *testing.T) {
 	trials := 1000
 	if testing.Short() {
@@ -257,10 +257,10 @@ func TestIndexOracle1000(t *testing.T) {
 				}
 			case op < 8:
 				p := geom.V2(float64(rng.Intn(33)), float64(rng.Intn(33)))
-				want := naive.Stab(p, nil)
+				want := naive.Probe(pointRect(p), nil)
 				for _, o := range others {
-					if got := o.Stab(p, nil); !equalIDs(got, want) {
-						t.Fatalf("trial %d step %d: %s.Stab(%v) = %v, want %v",
+					if got := o.Probe(pointRect(p), nil); !equalIDs(got, want) {
+						t.Fatalf("trial %d step %d: %s point probe at %v = %v, want %v",
 							trial, step, o.name, p, got, want)
 					}
 				}
@@ -283,7 +283,7 @@ func TestIndexOracle1000(t *testing.T) {
 	}
 }
 
-// TestLockedChurn races Insert/Remove against Stab/Probe through the
+// TestLockedChurn races Insert/Remove against Probe through the
 // Locked wrapper — the register/deregister-while-chunks-flow pattern the
 // shared router produces. Meaningful only under -race; without locking the
 // detector fails it immediately.
@@ -323,7 +323,7 @@ func TestLockedChurn(t *testing.T) {
 				default:
 				}
 				idx.Probe(intRect(rng, 32), nil)
-				idx.Stab(geom.V2(rng.Float64()*32, rng.Float64()*32), nil)
+				idx.Probe(pointRect(geom.V2(rng.Float64()*32, rng.Float64()*32)), nil)
 				idx.Len()
 			}
 		}(int64(w))

@@ -27,6 +27,24 @@ func equalIDs(a, b []QueryID) bool {
 	return true
 }
 
+// pointRect is the zero-area rect at p. Rects are closed, so probing it
+// returns exactly the regions that contain p: the point query.
+func pointRect(p geom.Vec2) geom.Rect {
+	return geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
+}
+
+// treeDepth returns the maximum depth of t's partition.
+func treeDepth(t *Tree) int {
+	var f func(n *treeNode) int
+	f = func(n *treeNode) int {
+		if n == nil {
+			return 0
+		}
+		return 1 + max(f(n.lo), f(n.hi))
+	}
+	return f(t.root)
+}
+
 // named pairs an index with the label its failures print.
 type named struct {
 	name string
@@ -45,14 +63,14 @@ func TestIndexBasics(t *testing.T) {
 		if idx.Len() != 3 {
 			t.Fatalf("%s: Len = %d", idx.name, idx.Len())
 		}
-		if got := idx.Stab(geom.V2(17, 17), nil); !equalIDs(got, []QueryID{1, 2}) {
-			t.Fatalf("%s: Stab = %v", idx.name, got)
+		if got := idx.Probe(pointRect(geom.V2(17, 17)), nil); !equalIDs(got, []QueryID{1, 2}) {
+			t.Fatalf("%s: point probe = %v", idx.name, got)
 		}
-		if got := idx.Stab(geom.V2(55, 55), nil); !equalIDs(got, []QueryID{3}) {
-			t.Fatalf("%s: Stab = %v", idx.name, got)
+		if got := idx.Probe(pointRect(geom.V2(55, 55)), nil); !equalIDs(got, []QueryID{3}) {
+			t.Fatalf("%s: point probe = %v", idx.name, got)
 		}
-		if got := idx.Stab(geom.V2(90, 90), nil); len(got) != 0 {
-			t.Fatalf("%s: empty Stab = %v", idx.name, got)
+		if got := idx.Probe(pointRect(geom.V2(90, 90)), nil); len(got) != 0 {
+			t.Fatalf("%s: empty point probe = %v", idx.name, got)
 		}
 		if got := idx.Probe(geom.R(18, 18, 55, 55), nil); !equalIDs(got, []QueryID{1, 2, 3}) {
 			t.Fatalf("%s: Probe = %v", idx.name, got)
@@ -61,8 +79,8 @@ func TestIndexBasics(t *testing.T) {
 		if idx.Len() != 2 {
 			t.Fatalf("%s: Len after remove = %d", idx.name, idx.Len())
 		}
-		if got := idx.Stab(geom.V2(17, 17), nil); !equalIDs(got, []QueryID{1}) {
-			t.Fatalf("%s: Stab after remove = %v", idx.name, got)
+		if got := idx.Probe(pointRect(geom.V2(17, 17)), nil); !equalIDs(got, []QueryID{1}) {
+			t.Fatalf("%s: point probe after remove = %v", idx.name, got)
 		}
 		// Removing an unknown id is a no-op.
 		idx.Remove(999)
@@ -79,17 +97,17 @@ func TestIndexReinsertReplaces(t *testing.T) {
 		if idx.Len() != 1 {
 			t.Fatalf("%s: re-insert duplicated: Len=%d", idx.name, idx.Len())
 		}
-		if got := idx.Stab(geom.V2(5, 5), nil); len(got) != 0 {
+		if got := idx.Probe(pointRect(geom.V2(5, 5)), nil); len(got) != 0 {
 			t.Fatalf("%s: old region still live", idx.name)
 		}
-		if got := idx.Stab(geom.V2(45, 45), nil); !equalIDs(got, []QueryID{7}) {
+		if got := idx.Probe(pointRect(geom.V2(45, 45)), nil); !equalIDs(got, []QueryID{7}) {
 			t.Fatalf("%s: new region missing", idx.name)
 		}
 	}
 }
 
 // Property: the tree always agrees with the naive index under random
-// workloads of inserts, removes, stabs, and probes.
+// workloads of inserts, removes, point probes, and rect probes.
 func TestIndexAgreementRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	naive := NewNaive()
@@ -123,12 +141,12 @@ func TestIndexAgreementRandomized(t *testing.T) {
 			for _, o := range others {
 				o.Remove(id)
 			}
-		case op < 9: // stab
+		case op < 9: // point probe
 			p := geom.V2(rng.Float64()*110-5, rng.Float64()*110-5)
-			want := naive.Stab(p, nil)
+			want := naive.Probe(pointRect(p), nil)
 			for _, o := range others {
-				if got := o.Stab(p, nil); !equalIDs(got, want) {
-					t.Fatalf("step %d: %s.Stab(%v) = %v, want %v", step, o.name, p, got, want)
+				if got := o.Probe(pointRect(p), nil); !equalIDs(got, want) {
+					t.Fatalf("step %d: %s point probe at %v = %v, want %v", step, o.name, p, got, want)
 				}
 			}
 		default: // probe
@@ -155,24 +173,24 @@ func TestTreeSplitsUnderLoad(t *testing.T) {
 		x, y := rng.Float64()*1000, rng.Float64()*1000
 		tree.Insert(QueryID(i), geom.R(x, y, x+5, y+5))
 	}
-	if d := tree.Depth(); d < 4 {
+	if d := treeDepth(tree); d < 4 {
 		t.Fatalf("tree depth %d: did not split under load", d)
 	}
 	if tree.Len() != 2000 {
 		t.Fatalf("Len = %d", tree.Len())
 	}
-	// Stab must still be exact: rebuild the same workload into a naive
+	// Point probes must still be exact: rebuild the same workload into a naive
 	// index (same seed) and compare.
 	p := geom.V2(500, 500)
-	got := tree.Stab(p, nil)
+	got := tree.Probe(pointRect(p), nil)
 	naive := NewNaive()
 	rng = rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
 		x, y := rng.Float64()*1000, rng.Float64()*1000
 		naive.Insert(QueryID(i), geom.R(x, y, x+5, y+5))
 	}
-	if !equalIDs(got, naive.Stab(p, nil)) {
-		t.Fatal("tree stab disagrees with naive after splits")
+	if !equalIDs(got, naive.Probe(pointRect(p), nil)) {
+		t.Fatal("tree point probe disagrees with naive after splits")
 	}
 }
 
@@ -189,7 +207,7 @@ func TestTreeRebuildAfterChurn(t *testing.T) {
 	if tree.Len() != 250 {
 		t.Fatalf("Len after churn = %d", tree.Len())
 	}
-	got := tree.Stab(geom.V2(11, 11), nil)
+	got := tree.Probe(pointRect(geom.V2(11, 11)), nil)
 	// Regions with x in [9, 11] and odd survive: ids where i%50 in {9,10,11} and odd.
 	var want []QueryID
 	for i := 1; i < 500; i += 2 {
@@ -199,7 +217,7 @@ func TestTreeRebuildAfterChurn(t *testing.T) {
 		}
 	}
 	if !equalIDs(got, want) {
-		t.Fatalf("Stab after churn = %v, want %v", got, want)
+		t.Fatalf("point probe after churn = %v, want %v", got, want)
 	}
 }
 
@@ -210,8 +228,8 @@ func TestIdenticalRegionsNoInfiniteSplit(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tree.Insert(QueryID(i), geom.R(5, 5, 6, 6))
 	}
-	got := tree.Stab(geom.V2(5.5, 5.5), nil)
+	got := tree.Probe(pointRect(geom.V2(5.5, 5.5)), nil)
 	if len(got) != 100 {
-		t.Fatalf("Stab = %d ids, want 100", len(got))
+		t.Fatalf("point probe = %d ids, want 100", len(got))
 	}
 }

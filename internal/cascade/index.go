@@ -16,16 +16,14 @@ import "geostreams/internal/geom"
 type QueryID int64
 
 // Index is a dynamic index over the rectangular regions of registered
-// queries. Stab answers "which queries want this point", Probe answers
-// "which queries could want data from this rectangle" (used to route whole
-// chunks without per-point tests).
+// queries. Probe answers "which queries could want data from this
+// rectangle" (used to route whole chunks without per-point tests); rects are
+// closed, so a zero-area probe asks which queries want one point.
 type Index interface {
 	// Insert registers a query region. Re-inserting an id replaces it.
 	Insert(id QueryID, r geom.Rect)
 	// Remove deregisters a query; unknown ids are ignored.
 	Remove(id QueryID)
-	// Stab appends to out the ids of all regions containing p.
-	Stab(p geom.Vec2, out []QueryID) []QueryID
 	// Probe appends to out the ids of all regions intersecting r.
 	Probe(r geom.Rect, out []QueryID) []QueryID
 	// Len returns the number of registered queries.
@@ -53,15 +51,6 @@ func (n *Naive) Len() int { return len(n.entries) }
 
 func (n *Naive) Insert(id QueryID, r geom.Rect) { n.entries[id] = r }
 func (n *Naive) Remove(id QueryID)              { delete(n.entries, id) }
-
-func (n *Naive) Stab(p geom.Vec2, out []QueryID) []QueryID {
-	for id, r := range n.entries {
-		if r.Contains(p) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
 
 func (n *Naive) Probe(q geom.Rect, out []QueryID) []QueryID {
 	for id, r := range n.entries {

@@ -8,7 +8,7 @@ import (
 
 // Locked wraps any Index with an RWMutex, making it safe for the access
 // pattern live routing produces: Insert/Remove from query register and
-// deregister handlers racing Stab/Probe from the chunk-routing goroutine.
+// deregister handlers racing Probe from the chunk-routing goroutine.
 // The bare implementations do not lock, so every concurrently shared index
 // must go through this wrapper.
 //
@@ -39,12 +39,6 @@ func (l *Locked) Remove(id QueryID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.idx.Remove(id)
-}
-
-func (l *Locked) Stab(p geom.Vec2, out []QueryID) []QueryID {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.idx.Stab(p, out)
 }
 
 func (l *Locked) Probe(r geom.Rect, out []QueryID) []QueryID {

@@ -10,7 +10,7 @@ import (
 // Tree is the dynamic cascade tree of Hart/Gertz/Zhang (SSTD'05, the
 // paper's reference [10]): a binary space partition over the registered
 // query regions in which every region is stored at the single deepest node
-// whose cell fully contains it. A stab query then only examines the
+// whose cell fully contains it. A point probe then only examines the
 // regions stored along one root-to-leaf path — the "cascade" — so its cost
 // is O(depth + answers) instead of O(queries).
 //
@@ -25,7 +25,7 @@ type Tree struct {
 	mutations int
 	// empty holds registrations whose rect is empty (inverted or
 	// uninitialized). An empty rect contains no point and intersects
-	// nothing, so these ids never answer a Stab or Probe — but they must
+	// nothing, so these ids never answer a Probe — but they must
 	// still count toward Len, replace on re-insert, and Remove cleanly.
 	// Keeping them out of the spatial partition also keeps their ±Inf
 	// coordinates from poisoning split medians with NaN.
@@ -126,7 +126,7 @@ func (t *Tree) maybeSplit(n *treeNode) {
 	// half-planes) have a non-finite center there; they would span any
 	// finite split line anyway, so they contribute nothing to the median —
 	// and a NaN or ±Inf median would make the split line unreachable,
-	// silently hiding whole subtrees from Stab and Probe.
+	// silently hiding whole subtrees from Probe.
 	centers := make([]float64, 0, len(n.resident))
 	for _, e := range n.resident {
 		c := e.r.Center()
@@ -212,43 +212,6 @@ func (t *Tree) maybeRebuild() {
 	}
 }
 
-// Stab walks the root-to-leaf path containing p, testing resident regions
-// at each node. Rects are closed intervals (geom.Rect.Contains includes
-// edges), so a point exactly on a split line belongs to both half-cells: a
-// lo-side region with MaxX == splitVal contains it just as a hi-side region
-// with MinX == splitVal does. Descending only one side there silently
-// dropped boundary matches; on the split line both children are visited.
-func (t *Tree) Stab(p geom.Vec2, out []QueryID) []QueryID {
-	var visit func(n *treeNode)
-	visit = func(n *treeNode) {
-		for n != nil {
-			for _, e := range n.resident {
-				if e.r.Contains(p) {
-					out = append(out, e.id)
-				}
-			}
-			if n.lo == nil {
-				return
-			}
-			v := p.X
-			if !n.splitX {
-				v = p.Y
-			}
-			switch {
-			case v < n.splitVal:
-				n = n.lo
-			case v > n.splitVal:
-				n = n.hi
-			default: // exactly on the split line: regions on either side may touch p
-				visit(n.lo)
-				n = n.hi
-			}
-		}
-	}
-	visit(t.root)
-	return out
-}
-
 // Probe visits every subtree whose cell intersects q.
 func (t *Tree) Probe(q geom.Rect, out []QueryID) []QueryID {
 	if q.Empty() {
@@ -289,20 +252,4 @@ func (t *Tree) Probe(q geom.Rect, out []QueryID) []QueryID {
 	}
 	visit(t.root)
 	return out
-}
-
-// Depth returns the maximum depth of the tree (diagnostics).
-func (t *Tree) Depth() int {
-	var f func(n *treeNode) int
-	f = func(n *treeNode) int {
-		if n == nil {
-			return 0
-		}
-		l, h := f(n.lo), f(n.hi)
-		if h > l {
-			l = h
-		}
-		return l + 1
-	}
-	return f(t.root)
 }

@@ -107,10 +107,3 @@ func (g GEOS) Inverse(xy geom.Vec2) (geom.Vec2, error) {
 	}
 	return geom.Vec2{X: lon, Y: lat}, nil
 }
-
-// Visible reports whether a geographic point is in the satellite's field
-// of view.
-func (g GEOS) Visible(lonlat geom.Vec2) bool {
-	_, err := g.Forward(lonlat)
-	return err == nil
-}

@@ -27,18 +27,6 @@ func NewUTM(zone int, south bool) (UTM, error) {
 	return UTM{Zone: zone, South: south}, nil
 }
 
-// ZoneFor returns the standard UTM zone for a longitude in degrees.
-func ZoneFor(lonDeg float64) int {
-	z := int(math.Floor((lonDeg+180)/6)) + 1
-	if z < 1 {
-		z = 1
-	}
-	if z > 60 {
-		z = 60
-	}
-	return z
-}
-
 func (u UTM) Name() string {
 	suffix := "n"
 	if u.South {

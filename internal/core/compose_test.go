@@ -258,8 +258,8 @@ func TestComposeOperandOrderWithFlip(t *testing.T) {
 func TestComposePointChunks(t *testing.T) {
 	mk := func(base float64) *stream.Chunk {
 		pts := []stream.PointValue{
-			{P: geom.Pt(1, 1, 3), V: base + 1},
-			{P: geom.Pt(2, 2, 3), V: base + 2},
+			{P: pt(1, 1, 3), V: base + 1},
+			{P: pt(2, 2, 3), V: base + 2},
 		}
 		c, err := stream.NewPointsChunk(pts)
 		if err != nil {

@@ -10,6 +10,9 @@ import (
 	"geostreams/internal/stream"
 )
 
+// pt constructs a spatio-temporal point (x, y)@t.
+func pt(x, y float64, t geom.Timestamp) geom.Point { return geom.Point{S: geom.V2(x, y), T: t} }
+
 // sectorLattice returns a north-up w×h lattice over [0,w)×(0,h] in latlon
 // degrees scaled down (so it stays in-domain).
 func sectorLattice(t testing.TB, w, h int) geom.Lattice {

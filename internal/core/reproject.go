@@ -61,9 +61,6 @@ type Affine struct {
 	B1, B2             float64
 }
 
-// IdentityAffine returns the identity map.
-func IdentityAffine() Affine { return Affine{A11: 1, A22: 1} }
-
 // Rotation returns the affine map rotating by theta radians around a
 // center point.
 func Rotation(theta float64, center geom.Vec2) Affine {
@@ -73,15 +70,6 @@ func Rotation(theta float64, center geom.Vec2) Affine {
 		A11: c, A12: -s, A21: s, A22: c,
 		B1: center.X - c*center.X + s*center.Y,
 		B2: center.Y - s*center.X - c*center.Y,
-	}
-}
-
-// Scaling returns the affine map scaling by (sx, sy) about a center point.
-func Scaling(sx, sy float64, center geom.Vec2) Affine {
-	return Affine{
-		A11: sx, A22: sy,
-		B1: center.X * (1 - sx),
-		B2: center.Y * (1 - sy),
 	}
 }
 

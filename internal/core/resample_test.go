@@ -230,8 +230,8 @@ func TestResamplePointChunksMapPointwise(t *testing.T) {
 	ll := coord.LatLon{}
 	utm := coord.MustParse("utm:10")
 	pts := []stream.PointValue{
-		{P: geom.Pt(-122, 38, 1), V: 5},
-		{P: geom.Pt(-121.5, 38.5, 2), V: 6},
+		{P: pt(-122, 38, 1), V: 5},
+		{P: pt(-121.5, 38.5, 2), V: 6},
 	}
 	ch, err := stream.NewPointsChunk(pts)
 	if err != nil {
@@ -276,19 +276,21 @@ func TestAffineRotation(t *testing.T) {
 }
 
 func TestAffineScalingAndSingular(t *testing.T) {
-	s := Scaling(2, 3, geom.V2(0, 0))
+	s := Affine{A11: 2, A22: 3}
 	if !s.Apply(geom.V2(1, 1)).AlmostEq(geom.V2(2, 3), 1e-12) {
 		t.Fatal("scaling wrong")
 	}
-	// Scaling about a center fixes the center.
-	s2 := Scaling(2, 2, geom.V2(5, 5))
-	if !s2.Apply(geom.V2(5, 5)).AlmostEq(geom.V2(5, 5), 1e-12) {
-		t.Fatal("center not fixed")
+	inv, err := s.Invert()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inv.Apply(geom.V2(2, 3)).AlmostEq(geom.V2(1, 1), 1e-12) {
+		t.Fatal("inverse scaling wrong")
 	}
 	if _, err := (Affine{}).Invert(); err == nil {
 		t.Fatal("singular affine must not invert")
 	}
-	if IdentityAffine().Apply(geom.V2(3, 4)) != geom.V2(3, 4) {
+	if (Affine{A11: 1, A22: 1}).Apply(geom.V2(3, 4)) != geom.V2(3, 4) {
 		t.Fatal("identity affine wrong")
 	}
 }

@@ -89,9 +89,9 @@ func TestSpatialRestrictDisjointDropsChunks(t *testing.T) {
 
 func TestSpatialRestrictPointChunks(t *testing.T) {
 	pts := []stream.PointValue{
-		{P: geom.Pt(1, 1, 0), V: 10},
-		{P: geom.Pt(5, 5, 0), V: 20},
-		{P: geom.Pt(9, 9, 0), V: 30},
+		{P: pt(1, 1, 0), V: 10},
+		{P: pt(5, 5, 0), V: 20},
+		{P: pt(9, 9, 0), V: 30},
 	}
 	ch, err := stream.NewPointsChunk(pts)
 	if err != nil {
@@ -148,9 +148,9 @@ func TestTemporalRestrict(t *testing.T) {
 
 func TestTemporalRestrictPointChunks(t *testing.T) {
 	pts := []stream.PointValue{
-		{P: geom.Pt(0, 0, 5), V: 1},
-		{P: geom.Pt(1, 0, 10), V: 2},
-		{P: geom.Pt(2, 0, 15), V: 3},
+		{P: pt(0, 0, 5), V: 1},
+		{P: pt(1, 0, 10), V: 2},
+		{P: pt(2, 0, 15), V: 3},
 	}
 	ch, err := stream.NewPointsChunk(pts)
 	if err != nil {
@@ -205,8 +205,8 @@ func TestValueRestrictNoCopyWhenAllPass(t *testing.T) {
 
 func TestValueRestrictPointChunks(t *testing.T) {
 	pts := []stream.PointValue{
-		{P: geom.Pt(0, 0, 1), V: 1},
-		{P: geom.Pt(1, 0, 1), V: 50},
+		{P: pt(0, 0, 1), V: 1},
+		{P: pt(1, 0, 1), V: 50},
 	}
 	ch, err := stream.NewPointsChunk(pts)
 	if err != nil {

@@ -30,7 +30,7 @@ func TestValueTransformPointwise(t *testing.T) {
 
 func TestValueTransformRenamesBandAndRange(t *testing.T) {
 	op := ValueTransform{
-		Fn: imagealg.Identity(), Label: "id", OutBand: "gray",
+		Fn: func(v float64) float64 { return v }, Label: "id", OutBand: "gray",
 		Rerange: true, OutMin: 0, OutMax: 255,
 	}
 	out, err := op.OutInfo(rowInfo("vis", sectorLattice(t, 2, 2)))
@@ -46,7 +46,7 @@ func TestValueTransformRenamesBandAndRange(t *testing.T) {
 }
 
 func TestValueTransformPointChunks(t *testing.T) {
-	pts := []stream.PointValue{{P: geom.Pt(0, 0, 1), V: 3}, {P: geom.Pt(1, 0, 2), V: 4}}
+	pts := []stream.PointValue{{P: pt(0, 0, 1), V: 3}, {P: pt(1, 0, 2), V: 4}}
 	ch, err := stream.NewPointsChunk(pts)
 	if err != nil {
 		t.Fatal(err)
@@ -228,8 +228,10 @@ func TestZoomInLatticeGeometry(t *testing.T) {
 	lat := sectorLattice(t, 4, 4)
 	z := zoomInLattice(lat, 3)
 	// The refined lattice must cover the same cell bounds.
-	if !lat.CellBounds().Expand(1e-9).ContainsRect(z.CellBounds()) ||
-		!z.CellBounds().Expand(1e-9).ContainsRect(lat.CellBounds()) {
+	// r covers s exactly when r.Union(s) == r.
+	covers := func(r, s geom.Rect) bool { return r.Union(s) == r }
+	if !covers(lat.CellBounds().Expand(1e-9), z.CellBounds()) ||
+		!covers(z.CellBounds().Expand(1e-9), lat.CellBounds()) {
 		t.Fatalf("cell bounds changed: %v vs %v", lat.CellBounds(), z.CellBounds())
 	}
 	// Block centroids coincide with source points: mean of refined points

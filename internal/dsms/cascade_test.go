@@ -20,8 +20,9 @@ import (
 func collectFrames(t *testing.T, r *Registered) [][]byte {
 	t.Helper()
 	var out [][]byte
+	frames := viewFrames(t, r)
 	for {
-		f, ok := r.NextFrame(5 * time.Second)
+		f, ok := frames.Next(5 * time.Second)
 		if !ok {
 			break
 		}
@@ -307,7 +308,7 @@ func TestCascadeChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.NextFrame(10 * time.Second); !ok {
+	if _, ok := viewFrames(t, r).Next(10 * time.Second); !ok {
 		t.Fatal("no frame after churn")
 	}
 	if err := s.Deregister(r.ID); err != nil {

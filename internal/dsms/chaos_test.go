@@ -76,7 +76,9 @@ func TestChaosChurnWithFaultsAndPanics(t *testing.T) {
 				}
 				// Consume briefly; panicked pipelines close the frame queue
 				// on their own, so this never wedges on a dead query.
-				reg.NextFrame(30 * time.Millisecond)
+				sub := reg.SubscribeFrames()
+				sub.Next(30 * time.Millisecond)
+				sub.Close()
 				if err := s.Deregister(reg.ID); err != nil {
 					errs <- err
 					return

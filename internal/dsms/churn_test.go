@@ -34,7 +34,9 @@ func TestServerQueryChurn(t *testing.T) {
 					return
 				}
 				// Briefly consume, then drop the query.
-				reg.NextFrame(50 * time.Millisecond)
+				sub := reg.SubscribeFrames()
+				sub.Next(50 * time.Millisecond)
+				sub.Close()
 				if err := s.Deregister(reg.ID); err != nil {
 					errs <- err
 					return
@@ -109,7 +111,7 @@ func TestHTTPBadRequests(t *testing.T) {
 	c := NewClient(ts.URL)
 
 	// Frame for unknown query id.
-	if _, _, err := c.NextFrame(999, time.Millisecond); err == nil {
+	if _, _, err := c.Frames(999).Next(time.Millisecond); err == nil {
 		t.Fatal("unknown query id must error")
 	}
 	// Deregister unknown id.

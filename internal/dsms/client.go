@@ -24,9 +24,10 @@ type Client struct {
 	HTTP    *http.Client
 	// Timeout bounds each unary request (catalog, register, stats, ...)
 	// via a per-request context; DefaultTimeout if zero. Long-polls and
-	// streaming reads are NOT subject to it — NextFrame derives its own
-	// deadline from the wait it was asked for, and Subscribe hands the
-	// connection to the wire layer's idle-timeout handling.
+	// streaming reads are NOT subject to it — FrameCursor.Next derives its
+	// own deadline from the wait it was asked for, and the push
+	// subscriptions hand the connection to the wire layer's idle-timeout
+	// handling.
 	Timeout time.Duration
 	// Token, when non-empty, is sent as `Authorization: Bearer <Token>`
 	// on every request (HTTP, GSP upgrade, and WebSocket dial) for
@@ -148,9 +149,8 @@ func (c *Client) Queries() ([]QueryInfo, error) {
 	return out, err
 }
 
-// ClientFrame is a received frame with its metadata. Seq and Shed are
-// populated only by the cursor and WebSocket paths (Frames, Watch); the
-// legacy NextFrame long-poll leaves them zero.
+// ClientFrame is a received frame with its metadata, from the cursor
+// long-poll (Frames) or the WebSocket push (Watch).
 type ClientFrame struct {
 	Sector        int64
 	Width, Height int
@@ -159,40 +159,10 @@ type ClientFrame struct {
 	PNG           []byte
 }
 
-// NextFrame long-polls for the next frame of a query; ok is false on 204
-// (no frame within the wait window). The request deadline is the server
-// wait plus a grace period, not the unary timeout, so arbitrarily long
-// polls work without a client-wide timeout hack.
-func (c *Client) NextFrame(id int64, wait time.Duration) (*ClientFrame, bool, error) {
-	path := fmt.Sprintf("/queries/%d/frame?wait=%d", id, wait.Milliseconds())
-	resp, cancel, err := c.doGet(path, wait+10*time.Second)
-	if err != nil {
-		return nil, false, err
-	}
-	defer cancel()
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return nil, false, nil
-	case http.StatusOK:
-	default:
-		return nil, false, decodeErr(resp)
-	}
-	png, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false, err
-	}
-	sector, _ := strconv.ParseInt(resp.Header.Get("X-Geostreams-Sector"), 10, 64)
-	w, _ := strconv.Atoi(resp.Header.Get("X-Geostreams-Width"))
-	h, _ := strconv.Atoi(resp.Header.Get("X-Geostreams-Height"))
-	return &ClientFrame{Sector: sector, Width: w, Height: h, PNG: png}, true, nil
-}
-
-// FrameCursor walks a query's shared frame cache over the cursor form of
-// the long-poll endpoint: unlike the legacy NextFrame (which shares one
-// destructive server-side cursor across all pollers), each FrameCursor
-// observes the full frame sequence independently, minus frames evicted
-// while it lagged (counted by Shed).
+// FrameCursor walks a query's shared frame cache over the long-poll
+// endpoint. Each FrameCursor observes the full frame sequence
+// independently, minus frames evicted while it lagged (each ClientFrame's
+// Shed counts them so far).
 type FrameCursor struct {
 	c      *Client
 	id     int64
@@ -249,10 +219,6 @@ func (fc *FrameCursor) Next(wait time.Duration) (*ClientFrame, bool, error) {
 	}, true, nil
 }
 
-// Shed reports how many frames this cursor skipped because it fell
-// behind the server's retention horizon.
-func (fc *FrameCursor) Shed() int64 { return fc.shed }
-
 // Ended reports whether the query stopped and the cursor has drained
 // every retained frame.
 func (fc *FrameCursor) Ended() bool { return fc.ended }
@@ -266,15 +232,6 @@ func (c *Client) Series(id int64, from int) ([]SeriesPoint, int, error) {
 	}
 	err := c.get(fmt.Sprintf("/queries/%d/series?from=%d", id, from), &out)
 	return out.Points, out.Next, err
-}
-
-// Subscribe upgrades GET /queries/{id}/stream to a GSP push
-// subscription: the server streams the query's output chunks under
-// credit-based flow control (see package wire). window is the credit
-// window in chunks (wire.DefaultWindow if <= 0). The subscription owns
-// a dedicated TCP connection; the unary timeout does not apply.
-func (c *Client) Subscribe(id int64, window int) (*wire.Subscription, error) {
-	return c.subscribe(id, window, "")
 }
 
 // SubscribeCursors opens a push subscription with the resume extension:
@@ -295,6 +252,12 @@ func (c *Client) SubscribeResume(id int64, window int, cur wire.Cursor) (*wire.S
 	return c.subscribe(id, window, "&cursors=1&resume="+url.QueryEscape(cur.String()))
 }
 
+// subscribe upgrades GET /queries/{id}/stream to a GSP push
+// subscription: the server streams the query's output chunks under
+// credit-based flow control (see package wire). window is the credit
+// window in chunks (wire.DefaultWindow if <= 0); extra appends the resume
+// extension's parameters. The subscription owns a dedicated TCP
+// connection; the unary timeout does not apply.
 func (c *Client) subscribe(id int64, window int, extra string) (*wire.Subscription, error) {
 	u, err := url.Parse(c.BaseURL)
 	if err != nil {

@@ -84,10 +84,6 @@ type Registered struct {
 	// gone is closed by Deregister, ending this handle's viewers even while
 	// other handles keep the product running.
 	gone chan struct{}
-	// legacy is this handle's NextFrame cursor. Each handle has its own, so
-	// two handles on one product never split its frames between them.
-	legacyMu sync.Mutex
-	legacy   uint64
 
 	// shadows are the resume pipelines serving ?resume= subscribers (see
 	// splice.go). They deliberately outlive the primary pipeline's natural
@@ -143,7 +139,7 @@ func (p *product) newHandle(id cascade.QueryID, text string, plan query.Node, in
 	next, bytes := p.frames.published()
 	return &Registered{
 		ID: id, Text: text, Plan: plan, Info: info, product: p,
-		attach: next, attachBytes: bytes, legacy: next,
+		attach: next, attachBytes: bytes,
 		gone: make(chan struct{}),
 	}
 }
@@ -357,7 +353,7 @@ func renderFrame(img *raster.Image, cm raster.Colormap, vmin, vmax float64) (*Fr
 func (p *product) deliver(ctx context.Context, out *stream.Stream) error {
 	asm := raster.NewAssembler()
 	// The frame queue must close on every exit path — encode failures,
-	// assembler errors, cancellation — or clients blocked in NextFrame hang
+	// assembler errors, cancellation — or clients blocked on a frame hang
 	// until their wait expires on a query that is already dead. Likewise
 	// the assembler's partially accumulated sector state is discarded so an
 	// errored pipeline doesn't pin chunk memory.
@@ -462,36 +458,6 @@ func (p *product) deliver(ctx context.Context, out *stream.Stream) error {
 		case <-ctx.Done():
 			return nil
 		}
-	}
-}
-
-// NextFrame blocks up to wait for the next completed frame; ok is false
-// when the query stopped and every buffered frame was consumed, the handle
-// was deregistered, or the wait elapsed. This is the pre-fan-out
-// destructive API: all NextFrame callers on one handle share its cursor,
-// so concurrent callers split the stream between them. Returned frames
-// are retained and never released by callers; their backing degrades to
-// GC. Viewers that each need the full sequence use SubscribeFrames
-// (in-process), the cursor form of GET /queries/{id}/frame, or the
-// WebSocket hub.
-func (r *Registered) NextFrame(wait time.Duration) (*Frame, bool) {
-	deadline := time.Now().Add(wait)
-	for {
-		r.legacyMu.Lock()
-		f, next, _, st := r.frames.frameAt(r.legacy)
-		r.legacy = next
-		r.legacyMu.Unlock()
-		switch st {
-		case frameReady:
-			return f, true
-		case frameClosed:
-			return nil, false
-		}
-		rem := time.Until(deadline)
-		if rem <= 0 || isClosed(r.gone) {
-			return nil, false
-		}
-		r.frames.await(next, rem)
 	}
 }
 

@@ -36,6 +36,15 @@ func startServer(t *testing.T, sectors int) (*Server, func()) {
 	return startOrgServer(t, sectors, stream.RowByRow, nil)
 }
 
+// viewFrames opens one viewer's in-order read of reg's frames, from the
+// handle's attach point on; the subscription closes when the test ends.
+func viewFrames(t testing.TB, reg *Registered) *FrameSub {
+	t.Helper()
+	sub := reg.SubscribeFrames()
+	t.Cleanup(sub.Close)
+	return sub
+}
+
 func TestServerRegisterAndReceiveFrames(t *testing.T) {
 	s, stop := startServer(t, 3)
 	defer stop()
@@ -47,8 +56,9 @@ func TestServerRegisterAndReceiveFrames(t *testing.T) {
 	}
 	s.Start()
 	got := 0
+	frames := viewFrames(t, reg)
 	for {
-		f, ok := reg.NextFrame(5 * time.Second)
+		f, ok := frames.Next(5 * time.Second)
 		if !ok {
 			break
 		}
@@ -122,7 +132,7 @@ func TestServerSharedRestrictionRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
-	if f, ok := inRegion.NextFrame(5 * time.Second); !ok || len(f.PNG) == 0 {
+	if f, ok := viewFrames(t, inRegion).Next(5 * time.Second); !ok || len(f.PNG) == 0 {
 		t.Fatal("in-region query must produce frames")
 	}
 	// Wait for the off-region query to finish (sources end after 2
@@ -148,7 +158,7 @@ func TestServerDeregister(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
-	if _, ok := reg.NextFrame(5 * time.Second); !ok {
+	if _, ok := viewFrames(t, reg).Next(5 * time.Second); !ok {
 		t.Fatal("no first frame")
 	}
 	if err := s.Deregister(reg.ID); err != nil {
@@ -239,8 +249,9 @@ func TestHTTPEndToEnd(t *testing.T) {
 
 	for _, id := range ids {
 		frames := 0
+		fc := c.Frames(id)
 		for {
-			f, ok, err := c.NextFrame(id, 5*time.Second)
+			f, ok, err := fc.Next(5 * time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,8 +331,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
+	frames := viewFrames(t, reg)
 	for {
-		if _, ok := reg.NextFrame(5 * time.Second); !ok {
+		if _, ok := frames.Next(5 * time.Second); !ok {
 			break
 		}
 	}
@@ -466,51 +478,25 @@ func TestHubBroadcastsLocatableChunks(t *testing.T) {
 	}
 }
 
-func TestFrameHubLegacyPop(t *testing.T) {
+// A subscription keeps serving a finished query's retained frames: close
+// ends the stream only once the cursor has drained the ring.
+func TestFrameSubDrainsAfterClose(t *testing.T) {
 	h := newFrameHub(2)
 	r := &Registered{product: &product{frames: h}}
-	pub := func(sec int64) {
-		f := &Frame{Sector: geom.Timestamp(sec)}
-		f.refs.Store(1)
-		h.publish(f)
-	}
-	pub(1)
-	pub(2)
-	pub(3) // evicts sector 1
-	f, ok := r.NextFrame(time.Second)
-	if !ok || f.Sector != 2 {
-		t.Fatalf("pop = %+v, %v", f, ok)
-	}
-	if h.shedCount() != 1 {
-		t.Fatalf("shed = %d", h.shedCount())
-	}
-	f, _ = r.NextFrame(time.Second)
-	if f.Sector != 3 {
-		t.Fatal("ring order wrong")
-	}
-	// Empty + timeout.
-	start := time.Now()
-	if _, ok := r.NextFrame(50 * time.Millisecond); ok {
-		t.Fatal("empty pop must time out")
-	}
-	if time.Since(start) < 40*time.Millisecond {
-		t.Fatal("timeout returned early")
-	}
+	f := &Frame{Sector: 9}
+	f.refs.Store(1)
+	h.publish(f)
 	h.close()
-	if _, ok := r.NextFrame(time.Second); ok {
-		t.Fatal("closed drained hub must report !ok immediately")
+	sub := r.SubscribeFrames()
+	defer sub.Close()
+	got, ok := sub.Next(0)
+	if !ok || got.Sector != 9 || sub.Cursor() != 1 {
+		t.Fatalf("post-close drain = %+v ok=%v cursor=%d", got, ok, sub.Cursor())
 	}
-	// Buffered frames still drain after close: the legacy cursor keeps
-	// serving the retained tail of a finished query.
-	h2 := newFrameHub(2)
-	r2 := &Registered{product: &product{frames: h2}}
-	f2 := &Frame{Sector: 9}
-	f2.refs.Store(1)
-	h2.publish(f2)
-	h2.close()
-	got, ok := r2.NextFrame(0)
-	if !ok || got.Sector != 9 || r2.legacy != 1 {
-		t.Fatalf("post-close drain = %+v ok=%v cursor=%d", got, ok, r2.legacy)
+	got.Release()
+	start := time.Now()
+	if _, ok := sub.Next(time.Minute); ok || !sub.Ended() || time.Since(start) > 10*time.Second {
+		t.Fatal("closed drained hub must report !ok and Ended immediately")
 	}
 }
 

@@ -117,7 +117,7 @@ func TestHTTPRateLimit429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	url := ts.URL + "/queries/" + strconv.FormatInt(int64(reg.ID), 10) + "/frame?wait=0"
+	url := ts.URL + "/queries/" + strconv.FormatInt(int64(reg.ID), 10) + "/frame?cursor=oldest&wait=0"
 	get := func() *http.Response {
 		t.Helper()
 		resp, err := ts.Client().Get(url)

@@ -220,13 +220,6 @@ func (h *frameHub) oldest() uint64 {
 	return h.base
 }
 
-// head returns the cursor one past the newest published frame.
-func (h *frameHub) head() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.next
-}
-
 // ringLen reads the current ring occupancy.
 func (h *frameHub) ringLen() int {
 	h.mu.Lock()

@@ -54,8 +54,9 @@ func TestQueryPanicIsolation(t *testing.T) {
 
 	// The healthy query must deliver every sector despite the sibling panic.
 	frames := 0
+	view := viewFrames(t, healthy)
 	for {
-		if _, ok := healthy.NextFrame(5 * time.Second); !ok {
+		if _, ok := view.Next(5 * time.Second); !ok {
 			break
 		}
 		frames++
@@ -209,8 +210,9 @@ func TestSupervisedSourceResumesDelivery(t *testing.T) {
 
 	// One registration must see every sector across all three connections.
 	frames := 0
+	view := viewFrames(t, reg)
 	for {
-		if _, ok := reg.NextFrame(5 * time.Second); !ok {
+		if _, ok := view.Next(5 * time.Second); !ok {
 			break
 		}
 		frames++
@@ -329,8 +331,9 @@ func TestLateSubscribeAfterSourceEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
+	view := viewFrames(t, first)
 	for {
-		if _, ok := first.NextFrame(5 * time.Second); !ok {
+		if _, ok := view.Next(5 * time.Second); !ok {
 			break
 		}
 	}
@@ -350,14 +353,14 @@ func TestLateSubscribeAfterSourceEnd(t *testing.T) {
 	if late.Err() != nil {
 		t.Fatalf("late subscriber error: %v", late.Err())
 	}
-	if _, ok := late.NextFrame(time.Second); ok {
+	if _, ok := viewFrames(t, late).Next(time.Second); ok {
 		t.Fatal("late subscriber produced frames from a dead source")
 	}
 }
 
 // TestDeliverClosesFramesOnErrorExits (regression): deliver used to return
 // on encode/assembler errors without closing the frame queue, so HTTP
-// clients polling NextFrame hung until timeout on a dead query.
+// clients polling for a frame hung until timeout on a dead query.
 func TestDeliverClosesFramesOnErrorExits(t *testing.T) {
 	mkReg := func(colormap string) *Registered {
 		return &Registered{product: &product{
@@ -378,11 +381,11 @@ func TestDeliverClosesFramesOnErrorExits(t *testing.T) {
 		t.Fatal("bad colormap must error")
 	}
 	start := time.Now()
-	if _, ok := r.NextFrame(5 * time.Second); ok {
+	if _, ok := viewFrames(t, r).Next(5 * time.Second); ok {
 		t.Fatal("frame appeared from failed delivery")
 	}
 	if time.Since(start) > time.Second {
-		t.Fatal("frame queue not closed on setup-error exit: NextFrame blocked")
+		t.Fatal("frame queue not closed on setup-error exit: reader blocked")
 	}
 
 	// Exit path 2: assembler failure mid-loop (malformed chunk kind).
@@ -394,11 +397,11 @@ func TestDeliverClosesFramesOnErrorExits(t *testing.T) {
 		t.Fatal("malformed chunk must error")
 	}
 	start = time.Now()
-	if _, ok := r.NextFrame(5 * time.Second); ok {
+	if _, ok := viewFrames(t, r).Next(5 * time.Second); ok {
 		t.Fatal("frame appeared after assembler error")
 	}
 	if time.Since(start) > time.Second {
-		t.Fatal("frame queue not closed on assembler-error exit: NextFrame blocked")
+		t.Fatal("frame queue not closed on assembler-error exit: reader blocked")
 	}
 }
 
@@ -455,7 +458,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
-	if _, ok := reg.NextFrame(5 * time.Second); !ok {
+	if _, ok := viewFrames(t, reg).Next(5 * time.Second); !ok {
 		t.Fatal("no frame before shutdown")
 	}
 

@@ -27,7 +27,7 @@ import (
 //	GET    /queries                 list registered queries with stats
 //	GET    /queries/{id}            one query's info, per-operator stats, and delivery freshness
 //	DELETE /queries/{id}            deregister
-//	GET    /queries/{id}/frame      next PNG frame (?wait=ms, default 5000; 204 if none)
+//	GET    /queries/{id}/frame      PNG frame at ?cursor= (oldest or X-Geostreams-Cursor; required), ?wait=ms (default 5000; 204 if none)
 //	GET    /queries/{id}/series     time-series points (?from=index)
 //	GET    /queries/{id}/stream     upgrade to a GSP push subscription (?window=chunks, ?trace=1)
 //	GET    /queries/{id}/trace      span timelines for sampled chunks (?n=traces, default 16)
@@ -296,51 +296,41 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = time.Duration(v) * time.Millisecond
 	}
-	// Three polling forms share this endpoint (DESIGN.md §15): no cursor
-	// keeps the legacy destructive shared-cursor pop (concurrent cursorless
-	// pollers split the stream — the pre-fan-out behaviour); ?cursor=oldest
-	// starts a private non-destructive cursor at the retention horizon; a
-	// numeric ?cursor= resumes one. Cursor responses carry the position to
-	// poll next in X-Geostreams-Cursor, so any number of clients each
-	// observe the full frame sequence.
-	var f *Frame
-	var released func()
+	// Every poll carries a cursor (DESIGN.md §15): ?cursor=oldest starts a
+	// private non-destructive cursor at the retention horizon; a numeric
+	// ?cursor= resumes one. Responses carry the position to poll next in
+	// X-Geostreams-Cursor, so any number of clients each observe the full
+	// frame sequence.
+	var cursor uint64
 	switch cur := r.URL.Query().Get("cursor"); cur {
 	case "":
-		lf, ok := reg.NextFrame(wait)
-		if !ok {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		f, released = lf, func() {}
+		writeErr(w, http.StatusBadRequest,
+			errors.New("cursor required: poll ?cursor=oldest, then the X-Geostreams-Cursor of each response"))
+		return
+	case "oldest":
+		cursor = reg.frames.oldest()
 	default:
-		var cursor uint64
-		if cur == "oldest" {
-			cursor = reg.frames.oldest()
-		} else {
-			v, err := strconv.ParseUint(cur, 10, 64)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, fmt.Errorf("bad cursor %q", cur))
-				return
-			}
-			cursor = v
-		}
-		sub := reg.frameCursor(cursor)
-		cf, ok := sub.Next(wait)
-		if shed := sub.Shed(); shed > 0 {
-			w.Header().Set("X-Geostreams-Shed", strconv.FormatInt(shed, 10))
-		}
-		w.Header().Set("X-Geostreams-Cursor", strconv.FormatUint(sub.Cursor(), 10))
-		if !ok {
-			if sub.Ended() {
-				w.Header().Set("X-Geostreams-End", "1")
-			}
-			w.WriteHeader(http.StatusNoContent)
+		v, err := strconv.ParseUint(cur, 10, 64)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad cursor %q", cur))
 			return
 		}
-		f, released = cf, cf.Release
+		cursor = v
 	}
-	defer released()
+	sub := reg.frameCursor(cursor)
+	f, ok := sub.Next(wait)
+	if shed := sub.Shed(); shed > 0 {
+		w.Header().Set("X-Geostreams-Shed", strconv.FormatInt(shed, 10))
+	}
+	w.Header().Set("X-Geostreams-Cursor", strconv.FormatUint(sub.Cursor(), 10))
+	if !ok {
+		if sub.Ended() {
+			w.Header().Set("X-Geostreams-End", "1")
+		}
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	defer f.Release()
 	w.Header().Set("Content-Type", "image/png")
 	w.Header().Set("X-Geostreams-Sector", strconv.FormatInt(int64(f.Sector), 10))
 	w.Header().Set("X-Geostreams-Width", strconv.Itoa(f.Width))

@@ -64,6 +64,10 @@ func TestHTTPHandlerErrorPaths(t *testing.T) {
 			http.StatusBadRequest, "bad wait"},
 		{"frame negative wait", "GET", fmt.Sprintf("/queries/%d/frame?wait=-5", id), "",
 			http.StatusBadRequest, "bad wait"},
+		{"frame without cursor", "GET", fmt.Sprintf("/queries/%d/frame?wait=0", id), "",
+			http.StatusBadRequest, "cursor=oldest"},
+		{"frame bad cursor", "GET", fmt.Sprintf("/queries/%d/frame?cursor=newest&wait=0", id), "",
+			http.StatusBadRequest, "bad cursor"},
 		{"series unknown id", "GET", "/queries/99999/series", "",
 			http.StatusNotFound, "no query"},
 		{"series bad from", "GET", fmt.Sprintf("/queries/%d/series?from=-1", id), "",
@@ -112,6 +116,16 @@ func TestHTTPHandlerErrorPaths(t *testing.T) {
 				t.Fatalf("error %q missing %q", body.Error, tc.wantErr)
 			}
 		})
+	}
+
+	// The poll the refusal names is served.
+	resp, err := ts.Client().Get(fmt.Sprintf("%s/queries/%d/frame?cursor=oldest&wait=0", ts.URL, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("cursor=oldest poll: status %d, want 200 or 204", resp.StatusCode)
 	}
 }
 

@@ -135,7 +135,7 @@ func TestLiveMetricsAreDocumented(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	c := NewClient(ts.URL)
-	sub, err := c.Subscribe(int64(reg.ID), 64)
+	sub, err := c.subscribe(int64(reg.ID), 64, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +149,9 @@ func TestLiveMetricsAreDocumented(t *testing.T) {
 			}
 		}
 	}()
+	view := viewFrames(t, reg)
 	for {
-		if _, ok := reg.NextFrame(10 * time.Second); !ok {
+		if _, ok := view.Next(10 * time.Second); !ok {
 			break
 		}
 	}

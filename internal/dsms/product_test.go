@@ -123,9 +123,9 @@ func TestProductKeyDecidesSharing(t *testing.T) {
 }
 
 // TestProductHandlesMatchPrivateFrames: two handles on one product each
-// drain the full frame sequence through NextFrame, concurrently, and every
-// frame is byte-identical to what the library oracle renders — while the
-// product encoded each sector once.
+// drain the full frame sequence through their own subscription,
+// concurrently, and every frame is byte-identical to what the library
+// oracle renders — while the product encoded each sector once.
 func TestProductHandlesMatchPrivateFrames(t *testing.T) {
 	const sectors = 3
 	const q = "stretch(ndvi(nir, vis), linear, 0, 255)"
@@ -145,8 +145,10 @@ func TestProductHandlesMatchPrivateFrames(t *testing.T) {
 		wg.Add(1)
 		go func(i int, r *Registered) {
 			defer wg.Done()
+			view := r.SubscribeFrames()
+			defer view.Close()
 			for {
-				f, ok := r.NextFrame(5 * time.Second)
+				f, ok := view.Next(5 * time.Second)
 				if !ok {
 					return
 				}
@@ -185,7 +187,7 @@ func TestProductOutlivesItsOwner(t *testing.T) {
 	defer sub.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	push, err := NewClient(ts.URL).Subscribe(int64(owner.ID), 64)
+	push, err := NewClient(ts.URL).subscribe(int64(owner.ID), 64, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +230,7 @@ func TestProductOutlivesItsOwner(t *testing.T) {
 
 // TestProductHandleStartsAtRegistration: a handle that joins a running
 // product never sees a frame published before it registered — not through
-// SubscribeFrames, NextFrame, cursor=oldest or an explicit older cursor —
+// SubscribeFrames, cursor=oldest or an explicit older cursor —
 // and its delivery counters start at zero.
 func TestProductHandleStartsAtRegistration(t *testing.T) {
 	s, src, info, stop := liveVisServer(t)
@@ -251,9 +253,6 @@ func TestProductHandleStartsAtRegistration(t *testing.T) {
 	defer sub.Close()
 	if f, ok := sub.Next(50 * time.Millisecond); ok {
 		t.Fatalf("late subscription read sector %d, published before it registered", f.Sector)
-	}
-	if f, ok := late.NextFrame(50 * time.Millisecond); ok {
-		t.Fatalf("late NextFrame read sector %d, published before it registered", f.Sector)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

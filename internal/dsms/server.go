@@ -172,10 +172,6 @@ func NewServer(ctx context.Context) *Server {
 // disables data sampling. The default is trace.DefaultInterval.
 func (s *Server) SetTraceInterval(n int) { s.tracer.SetInterval(n) }
 
-// Tracer exposes the server's chunk tracer so embedders can stamp chunks
-// or read spans directly.
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
 // SetFrameAgeSLO sets the hub→delivery freshness budget: a delivered data
 // chunk whose ingest stamp is older than d burns the owning query's SLO
 // counter (geostreams_frame_age_slo_burn_total). d <= 0 disables the SLO.
@@ -231,10 +227,6 @@ func (s *Server) histStore() *store.Store {
 	defer s.mu.Unlock()
 	return s.hist
 }
-
-// Registry exposes the server's metric registry so embedders can add their
-// own collectors alongside the built-in ones.
-func (s *Server) Registry() *obs.Registry { return s.registry }
 
 func (s *Server) logger() *obs.Logger {
 	s.mu.Lock()

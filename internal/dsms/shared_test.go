@@ -54,8 +54,9 @@ func TestSharedIdenticalQueriesShareTrunkAndSource(t *testing.T) {
 	s.Start()
 	for _, r := range []*Registered{r1, r2} {
 		got := 0
+		view := viewFrames(t, r)
 		for {
-			if _, ok := r.NextFrame(5 * time.Second); !ok {
+			if _, ok := view.Next(5 * time.Second); !ok {
 				break
 			}
 			got++
@@ -137,8 +138,9 @@ func TestSharedSuffixPanicIsolation(t *testing.T) {
 	s.Start()
 
 	got := 0
+	view := viewFrames(t, survivor)
 	for {
-		if _, ok := survivor.NextFrame(5 * time.Second); !ok {
+		if _, ok := view.Next(5 * time.Second); !ok {
 			break
 		}
 		got++
@@ -256,7 +258,7 @@ func TestQueryIDsDenseAndHubSubscriptionsOwned(t *testing.T) {
 			if i == victim {
 				continue
 			}
-			if _, ok := r.NextFrame(5 * time.Second); !ok {
+			if _, ok := viewFrames(t, r).Next(5 * time.Second); !ok {
 				t.Fatalf("query %d delivered no frame after query %d left", i+1, victim+1)
 			}
 		}
@@ -287,8 +289,9 @@ func TestSharedStretchStaysPrivate(t *testing.T) {
 	}
 	s.Start()
 	got := 0
+	view := viewFrames(t, r)
 	for {
-		if _, ok := r.NextFrame(5 * time.Second); !ok {
+		if _, ok := view.Next(5 * time.Second); !ok {
 			break
 		}
 		got++
@@ -351,7 +354,7 @@ func TestDeregisterUnblocksSharedSuffixOnLiveSource(t *testing.T) {
 		src <- c
 	}
 	src <- stream.NewEndOfSector(1, full)
-	if _, ok := r.NextFrame(5 * time.Second); !ok {
+	if _, ok := viewFrames(t, r).Next(5 * time.Second); !ok {
 		t.Fatal("no frame delivered before deregister")
 	}
 	done := make(chan error, 1)

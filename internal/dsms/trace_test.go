@@ -76,7 +76,7 @@ func TestTraceEndToEndWireFed(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	sub, err := NewClient(ts.URL).Subscribe(int64(reg.ID), 256)
+	sub, err := NewClient(ts.URL).subscribe(int64(reg.ID), 256, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +96,9 @@ func TestTraceEndToEndWireFed(t *testing.T) {
 			}
 		}
 	}()
+	view := viewFrames(t, reg)
 	for {
-		if _, ok := reg.NextFrame(10 * time.Second); !ok {
+		if _, ok := view.Next(10 * time.Second); !ok {
 			break
 		}
 	}
@@ -194,8 +195,9 @@ func TestTraceHTTPEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
+	view := viewFrames(t, reg)
 	for {
-		if _, ok := reg.NextFrame(5 * time.Second); !ok {
+		if _, ok := view.Next(5 * time.Second); !ok {
 			break
 		}
 	}
@@ -287,8 +289,9 @@ func TestFrameAgeSLOBurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
+	view := viewFrames(t, reg)
 	for {
-		if _, ok := reg.NextFrame(5 * time.Second); !ok {
+		if _, ok := view.Next(5 * time.Second); !ok {
 			break
 		}
 	}

@@ -131,8 +131,9 @@ func referenceFrames(t *testing.T, org stream.Organization, sectors int, q, colo
 	}
 	s.Start()
 	frames := map[geom.Timestamp][]byte{}
+	view := viewFrames(t, reg)
 	for {
-		f, ok := reg.NextFrame(10 * time.Second)
+		f, ok := view.Next(10 * time.Second)
 		if !ok {
 			break
 		}
@@ -219,7 +220,7 @@ func TestWireEndToEndBitIdentical(t *testing.T) {
 			}
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
-			sub, err := NewClient(ts.URL).Subscribe(int64(reg.ID), 256)
+			sub, err := NewClient(ts.URL).subscribe(int64(reg.ID), 256, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,8 +242,9 @@ func TestWireEndToEndBitIdentical(t *testing.T) {
 			}()
 
 			got := map[geom.Timestamp][]byte{}
+			view := viewFrames(t, reg)
 			for {
-				f, ok := reg.NextFrame(10 * time.Second)
+				f, ok := view.Next(10 * time.Second)
 				if !ok {
 					break
 				}
@@ -374,7 +376,8 @@ func TestWireIngestReconnectAcrossFlap(t *testing.T) {
 	}
 	s.Start()
 	sendSector(t, w1, info, 1)
-	f, ok := reg.NextFrame(5 * time.Second)
+	view := viewFrames(t, reg)
+	f, ok := view.Next(5 * time.Second)
 	if !ok || f.Sector != 1 {
 		t.Fatalf("first frame = %+v, %v", f, ok)
 	}
@@ -393,7 +396,7 @@ func TestWireIngestReconnectAcrossFlap(t *testing.T) {
 	}
 	waitForHubState(t, s, "wb", "live")
 	sendSector(t, w2, info, 2)
-	f, ok = reg.NextFrame(10 * time.Second)
+	f, ok = view.Next(10 * time.Second)
 	if !ok || f.Sector != 2 {
 		t.Fatalf("post-reconnect frame = %+v, %v", f, ok)
 	}
@@ -402,7 +405,7 @@ func TestWireIngestReconnectAcrossFlap(t *testing.T) {
 	if err := w2.Bye(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := reg.NextFrame(10 * time.Second); ok {
+	if _, ok := view.Next(10 * time.Second); ok {
 		t.Fatal("frames after clean bye")
 	}
 	if err := reg.Err(); err != nil {
@@ -481,7 +484,7 @@ func TestWireEgressBackpressureKeepsHubUnblocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := c.Subscribe(int64(reg.ID), 1)
+	sub, err := c.subscribe(int64(reg.ID), 1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,8 +493,9 @@ func TestWireEgressBackpressureKeepsHubUnblocked(t *testing.T) {
 	s.Start()
 
 	frames := 0
+	view := viewFrames(t, reg)
 	for {
-		f, ok := reg.NextFrame(5 * time.Second)
+		f, ok := view.Next(5 * time.Second)
 		if !ok {
 			break
 		}

@@ -5,7 +5,7 @@ import (
 	"sync/atomic"
 )
 
-// Block API: the 1-D twin of ForRows/MapRows for kernels that operate on a
+// Block API: the 1-D twin of ForRows for kernels that operate on a
 // flat []float64 slab with no per-row structure. Point-wise stages (value
 // transforms, fused chains, compose arithmetic) are element-independent, so
 // sharding at arbitrary element boundaries is safe and lets each worker
@@ -15,14 +15,13 @@ import (
 // The contract matches ForRows exactly:
 //
 //   - Determinism: shard boundaries depend only on n, never on worker count
-//     or scheduling; MapBlocks merges partials in shard order.
+//     or scheduling.
 //   - ParallelCutoff: loops under the cutoff run as a single scalar call.
 //   - Non-blocking submission: the caller always participates; a saturated
 //     pool degrades to scalar execution.
 
 // blockShard picks the shard length for an n-element loop. Like shardRows,
-// the boundary depends only on the geometry (n), so reductions merged in
-// shard order are bit-identical at any parallelism.
+// the boundary depends only on the geometry (n).
 func blockShard(n int) int {
 	step := ParallelCutoff / 4
 	if step > n {
@@ -87,32 +86,4 @@ func ForBlocks(n int, fn func(i0, i1 int)) {
 	run()
 	wg.Wait()
 	parallelKernels.Add(1)
-}
-
-// MapBlocks computes one partial result per fixed element shard of an
-// n-element loop — concurrently when the loop is large — and returns the
-// partials indexed by shard, in element order. Merging the partials in
-// slice order keeps reductions bit-identical at any parallelism.
-func MapBlocks[T any](n int, fn func(i0, i1 int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	step := blockShard(n)
-	shards := (n + step - 1) / step
-	out := make([]T, shards)
-	// Treat each shard as one "row" of width step: ForRows distributes the
-	// shard indices across the pool with the same cutoff and determinism
-	// rules, and the fixed index→range mapping keeps partials in element
-	// order regardless of which worker computes them.
-	ForRows(shards, step, func(s0, s1 int) {
-		for s := s0; s < s1; s++ {
-			i0 := s * step
-			i1 := i0 + step
-			if i1 > n {
-				i1 = n
-			}
-			out[s] = fn(i0, i1)
-		}
-	})
-	return out
 }

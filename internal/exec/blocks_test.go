@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"math"
-	"math/rand"
 	"sync"
 	"testing"
 )
@@ -75,41 +73,6 @@ func TestForBlocksShardBoundariesDeterministic(t *testing.T) {
 		if !two[k] {
 			t.Fatalf("shard %v present at parallelism 8 but not 2", k)
 		}
-	}
-}
-
-// TestMapBlocksDeterministic mirrors TestMapRowsDeterministic for the 1-D
-// API: in-order merges of the shard partials are bit-identical at
-// parallelism 1 and full parallelism.
-func TestMapBlocksDeterministic(t *testing.T) {
-	n := 1 << 20
-	vals := make([]float64, n)
-	rng := rand.New(rand.NewSource(11))
-	for i := range vals {
-		vals[i] = rng.NormFloat64() * 1000
-	}
-	sum := func(i0, i1 int) float64 {
-		s := 0.0
-		for i := i0; i < i1; i++ {
-			s += vals[i]
-		}
-		return s
-	}
-	merge := func(parts []float64) float64 {
-		s := 0.0
-		for _, p := range parts {
-			s += p
-		}
-		return s
-	}
-
-	SetParallelism(1)
-	scalar := merge(MapBlocks(n, sum))
-	SetParallelism(0)
-	parallel := merge(MapBlocks(n, sum))
-	if math.Float64bits(scalar) != math.Float64bits(parallel) {
-		t.Fatalf("MapBlocks reduction not bit-identical: scalar %x parallel %x",
-			math.Float64bits(scalar), math.Float64bits(parallel))
 	}
 }
 

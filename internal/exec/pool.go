@@ -19,16 +19,14 @@
 //     while idle pool workers steal the rest, so a busy pool degrades to
 //     scalar execution instead of queueing or deadlocking — kernel latency
 //     under load never exceeds the single-threaded cost.
-//   - Bounded concurrency: one pool, sized once from GOMAXPROCS (or the
-//     GEOSTREAMS_PARALLELISM override), is shared by every operator of
-//     every concurrent query, so N queries cannot oversubscribe the
-//     machine with N×GOMAXPROCS kernel goroutines.
+//   - Bounded concurrency: one pool, sized once from GOMAXPROCS (or
+//     SetParallelism), is shared by every operator of every concurrent
+//     query, so N queries cannot oversubscribe the machine with
+//     N×GOMAXPROCS kernel goroutines.
 package exec
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -54,17 +52,8 @@ var (
 	shardsRun       atomic.Int64
 )
 
-func init() {
-	if s := os.Getenv("GEOSTREAMS_PARALLELISM"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			SetParallelism(n)
-		}
-	}
-}
-
 // Parallelism returns the engine's target worker count: the value set by
-// SetParallelism (or the GEOSTREAMS_PARALLELISM environment variable),
-// defaulting to GOMAXPROCS.
+// SetParallelism, defaulting to GOMAXPROCS.
 func Parallelism() int {
 	if n := parallelism.Load(); n > 0 {
 		return int(n)

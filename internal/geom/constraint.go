@@ -43,17 +43,6 @@ func (p Poly) Eval(x, y float64) float64 {
 	return s
 }
 
-// Degree returns the total degree of the polynomial (0 for the zero poly).
-func (p Poly) Degree() int {
-	d := 0
-	for _, t := range p.Terms {
-		if td := t.XPow + t.YPow; td > d {
-			d = td
-		}
-	}
-	return d
-}
-
 func (p Poly) String() string {
 	if len(p.Terms) == 0 {
 		return "0"
@@ -103,14 +92,8 @@ type ConstraintRegion struct {
 	Cons []Constraint
 	// Box is a caller-provided conservative bounding rectangle. General
 	// semialgebraic sets have no computable tight bounds, so constructors
-	// that know the geometry (Disk, HalfPlane intersections) fill this in;
-	// NewConstraintRegion defaults to the whole plane.
+	// that know the geometry (Disk) fill this in.
 	Box Rect
-}
-
-// NewConstraintRegion builds a region from constraints with unbounded box.
-func NewConstraintRegion(cons ...Constraint) ConstraintRegion {
-	return ConstraintRegion{Cons: cons, Box: WorldRect()}
 }
 
 func (c ConstraintRegion) Contains(v Vec2) bool {
@@ -147,19 +130,4 @@ func Disk(cx, cy, r float64) ConstraintRegion {
 		Cons: []Constraint{{Poly: p}},
 		Box:  Rect{MinX: cx - r, MinY: cy - r, MaxX: cx + r, MaxY: cy + r},
 	}
-}
-
-// HalfPlane returns the region a·x + b·y + c ≤ 0.
-func HalfPlane(a, b, c float64) Constraint {
-	return Constraint{Poly: NewPoly(
-		Monomial{Coeff: a, XPow: 1},
-		Monomial{Coeff: b, YPow: 1},
-		Monomial{Coeff: c},
-	)}
-}
-
-// ConvexPolytope intersects half-planes into a constraint region; box must
-// be a conservative bounding rectangle supplied by the caller.
-func ConvexPolytope(box Rect, planes ...Constraint) ConstraintRegion {
-	return ConstraintRegion{Cons: planes, Box: box}
 }

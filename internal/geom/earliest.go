@@ -32,14 +32,6 @@ func EarliestTime(ts TimeSet) Timestamp {
 			}
 		}
 		return min
-	case TimeUnion:
-		min := OpenEnd
-		for _, p := range s.Parts {
-			if e := EarliestTime(p); e < min {
-				min = e
-			}
-		}
-		return min
 	case TimeIntersect:
 		// The intersection starts no earlier than its latest-starting
 		// part; an empty intersection list is alltime.

@@ -50,21 +50,9 @@ func (r Rect) Height() float64 {
 	return r.MaxY - r.MinY
 }
 
-// Area returns the area of r (0 for empty rectangles).
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
 // Contains reports whether the point v lies in r (boundary inclusive).
 func (r Rect) Contains(v Vec2) bool {
 	return v.X >= r.MinX && v.X <= r.MaxX && v.Y >= r.MinY && v.Y <= r.MaxY
-}
-
-// ContainsRect reports whether s lies entirely within r. An empty s is
-// contained in everything.
-func (r Rect) ContainsRect(s Rect) bool {
-	if s.Empty() {
-		return true
-	}
-	return s.MinX >= r.MinX && s.MaxX <= r.MaxX && s.MinY >= r.MinY && s.MaxY <= r.MaxY
 }
 
 // Intersects reports whether r and s share at least one point.

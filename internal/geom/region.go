@@ -8,9 +8,9 @@ import (
 // Region is a point lattice R ⊆ S used by the spatial restriction operator
 // G|R (Definition 6). The paper admits three specification styles:
 // enumeration of coordinate pairs, constraint (polynomial) expressions, and
-// bounding boxes; all three are implemented here (EnumRegion,
-// ConstraintRegion in constraint.go, RectRegion) plus polygons and boolean
-// combinations.
+// bounding boxes. The query language builds bounding boxes (RectRegion),
+// disks (a ConstraintRegion, constraint.go), polygons and the whole plane;
+// the optimizer adds intersections and re-projection predicates.
 //
 // Bounds must return a rectangle containing every point of the region; the
 // optimizer and the cascade tree only ever rely on Bounds being
@@ -45,37 +45,6 @@ type WorldRegion struct{}
 func (WorldRegion) Contains(Vec2) bool { return true }
 func (WorldRegion) Bounds() Rect       { return WorldRect() }
 func (WorldRegion) String() string     { return "world()" }
-
-// EmptyRegion contains no points.
-type EmptyRegion struct{}
-
-func (EmptyRegion) Contains(Vec2) bool { return false }
-func (EmptyRegion) Bounds() Rect       { return EmptyRect() }
-func (EmptyRegion) String() string     { return "empty()" }
-
-// EnumRegion is an explicit enumeration of lattice points — specification
-// style (1) from §3.1. Membership uses an exact-match set; the tolerance of
-// enumeration-based regions is zero, so callers should enumerate the same
-// lattice coordinates the stream produces.
-type EnumRegion struct {
-	pts    map[Vec2]struct{}
-	bounds Rect
-}
-
-// NewEnumRegion builds a region containing exactly the given points.
-func NewEnumRegion(pts []Vec2) *EnumRegion {
-	r := &EnumRegion{pts: make(map[Vec2]struct{}, len(pts)), bounds: EmptyRect()}
-	for _, p := range pts {
-		r.pts[p] = struct{}{}
-		r.bounds = r.bounds.Union(Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y})
-	}
-	return r
-}
-
-func (r *EnumRegion) Contains(v Vec2) bool { _, ok := r.pts[v]; return ok }
-func (r *EnumRegion) Bounds() Rect         { return r.bounds }
-func (r *EnumRegion) Len() int             { return len(r.pts) }
-func (r *EnumRegion) String() string       { return fmt.Sprintf("enum(%d points)", len(r.pts)) }
 
 // PolygonRegion is a simple polygon region; membership is tested with the
 // even-odd (ray casting) rule. The polygon need not be convex. Vertices are
@@ -130,47 +99,6 @@ func (p *PolygonRegion) String() string {
 	return "polygon(" + strings.Join(parts, ", ") + ")"
 }
 
-// UnionRegion contains the points of any of its parts.
-type UnionRegion struct {
-	Parts []Region
-}
-
-// Union combines regions into their set union.
-func Union(parts ...Region) Region {
-	switch len(parts) {
-	case 0:
-		return EmptyRegion{}
-	case 1:
-		return parts[0]
-	}
-	return UnionRegion{Parts: parts}
-}
-
-func (u UnionRegion) Contains(v Vec2) bool {
-	for _, p := range u.Parts {
-		if p.Contains(v) {
-			return true
-		}
-	}
-	return false
-}
-
-func (u UnionRegion) Bounds() Rect {
-	b := EmptyRect()
-	for _, p := range u.Parts {
-		b = b.Union(p.Bounds())
-	}
-	return b
-}
-
-func (u UnionRegion) String() string {
-	parts := make([]string, len(u.Parts))
-	for i, p := range u.Parts {
-		parts[i] = p.String()
-	}
-	return "union(" + strings.Join(parts, ", ") + ")"
-}
-
 // IntersectRegion contains the points present in all of its parts. The
 // restriction-merge rewrite G|R1|R2 ⇒ G|(R1 ∩ R2) produces these.
 type IntersectRegion struct {
@@ -212,16 +140,6 @@ func (x IntersectRegion) String() string {
 	}
 	return "intersect(" + strings.Join(parts, ", ") + ")"
 }
-
-// ComplementRegion contains exactly the points its inner region does not.
-// Its bounds are necessarily the whole plane.
-type ComplementRegion struct {
-	Inner Region
-}
-
-func (c ComplementRegion) Contains(v Vec2) bool { return !c.Inner.Contains(v) }
-func (c ComplementRegion) Bounds() Rect         { return WorldRect() }
-func (c ComplementRegion) String() string       { return "not(" + c.Inner.String() + ")" }
 
 // FuncRegion adapts an arbitrary predicate plus a conservative bounding box
 // into a Region. It is the escape hatch used by the re-projection rewrite,

@@ -121,39 +121,6 @@ func (r Recurring) String() string {
 	return fmt.Sprintf("recurring(%d, %d, %d)", r.Period, r.Offset, r.Length)
 }
 
-// TimeUnion is the union of several time sets.
-type TimeUnion struct {
-	Parts []TimeSet
-}
-
-// UnionTime combines time sets into their union.
-func UnionTime(parts ...TimeSet) TimeSet {
-	switch len(parts) {
-	case 0:
-		return NewInstants()
-	case 1:
-		return parts[0]
-	}
-	return TimeUnion{Parts: parts}
-}
-
-func (u TimeUnion) Contains(t Timestamp) bool {
-	for _, p := range u.Parts {
-		if p.Contains(t) {
-			return true
-		}
-	}
-	return false
-}
-
-func (u TimeUnion) String() string {
-	parts := make([]string, len(u.Parts))
-	for i, p := range u.Parts {
-		parts[i] = p.String()
-	}
-	return "timeunion(" + strings.Join(parts, ", ") + ")"
-}
-
 // TimeIntersect is the intersection of several time sets; the temporal
 // restriction-merge rewrite G|T1|T2 ⇒ G|(T1 ∩ T2) produces these.
 type TimeIntersect struct {

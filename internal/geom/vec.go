@@ -5,8 +5,8 @@
 // In the paper's terms (Gertz et al., EDBT 2006, §2), a point set is
 // X = S × T where S is a regularly spaced lattice in R² and T is a set of
 // logical timestamps. This package implements S (Lattice, Region, Rect,
-// Vec2) and T (Timestamp, TimeSet) together with the standard vector-space
-// and point operations the data model requires.
+// Vec2) and T (Timestamp, TimeSet) together with the operations on them
+// the data model requires.
 package geom
 
 import (
@@ -24,29 +24,6 @@ type Vec2 struct {
 
 // V2 is shorthand for constructing a Vec2.
 func V2(x, y float64) Vec2 { return Vec2{X: x, Y: y} }
-
-// Add returns v + w.
-func (v Vec2) Add(w Vec2) Vec2 { return Vec2{v.X + w.X, v.Y + w.Y} }
-
-// Sub returns v - w.
-func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
-
-// Scale returns v scaled by s.
-func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
-
-// Dot returns the dot product v · w.
-func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
-
-// Norm returns the Euclidean length of v.
-func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
-
-// Dist returns the Euclidean distance between v and w. Together with the
-// lattice neighbourhood operations this provides the metric-space topology
-// Definition 1 of the paper requires of a point set.
-func (v Vec2) Dist(w Vec2) float64 { return v.Sub(w).Norm() }
-
-// Eq reports whether v and w are exactly equal.
-func (v Vec2) Eq(w Vec2) bool { return v.X == w.X && v.Y == w.Y }
 
 // AlmostEq reports whether v and w are within eps in both coordinates.
 func (v Vec2) AlmostEq(w Vec2, eps float64) bool {
@@ -66,8 +43,5 @@ type Point struct {
 	S Vec2
 	T Timestamp
 }
-
-// Pt constructs a Point.
-func Pt(x, y float64, t Timestamp) Point { return Point{S: Vec2{x, y}, T: t} }
 
 func (p Point) String() string { return fmt.Sprintf("(%g, %g)@%d", p.S.X, p.S.Y, p.T) }

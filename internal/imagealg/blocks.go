@@ -27,16 +27,6 @@ func BlockOf(f PixelFunc) BlockFunc {
 	}
 }
 
-// IdentityBlock copies src to dst (no-op when aliased).
-func IdentityBlock() BlockFunc {
-	return func(dst, src []float64) {
-		if len(dst) == 0 || &dst[0] == &src[0] {
-			return
-		}
-		copy(dst, src)
-	}
-}
-
 // ScaleBlock is the block twin of Scale: f(v) = a·v + b.
 func ScaleBlock(a, b float64) BlockFunc {
 	return func(dst, src []float64) {
@@ -105,23 +95,6 @@ func ThresholdBlock(t, lo, hi float64) BlockFunc {
 			default:
 				dst[i] = lo
 			}
-		}
-	}
-}
-
-// ComposeBlocks chains block transforms left to right, applying each stage
-// over the whole block before the next (stage-major order). Because every
-// stage is element-independent, this is bit-identical to composing the
-// scalar forms point by point.
-func ComposeBlocks(fs ...BlockFunc) BlockFunc {
-	return func(dst, src []float64) {
-		cur := src
-		for _, f := range fs {
-			f(dst, cur)
-			cur = dst
-		}
-		if len(fs) == 0 && len(dst) > 0 && &dst[0] != &src[0] {
-			copy(dst, src)
 		}
 	}
 }

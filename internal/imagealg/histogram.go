@@ -54,13 +54,6 @@ func (h *Histogram) Add(v float64) {
 	h.N++
 }
 
-// AddAll records every value of a slice.
-func (h *Histogram) AddAll(vals []float64) {
-	for _, v := range vals {
-		h.Add(v)
-	}
-}
-
 // Merge folds another histogram's counts into h. Both must have the same
 // range and bin count (the engine's parallel fitting always merges shard
 // partials built from one NewHistogram configuration); mismatched shapes
@@ -96,39 +89,10 @@ func (h *Histogram) CDF() []float64 {
 	return out
 }
 
-// Quantile returns the approximate q-quantile (q in [0,1]) using bin
-// midpoints.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.N == 0 {
-		return h.Min
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(math.Ceil(q * float64(h.N)))
-	if target < 1 {
-		target = 1
-	}
-	var run int64
-	for i, c := range h.Counts {
-		run += c
-		if run >= target {
-			w := (h.Max - h.Min) / float64(len(h.Counts))
-			return h.Min + (float64(i)+0.5)*w
-		}
-	}
-	return h.Max
-}
-
-// Moments returns the count, mean, and standard deviation of all values
-// recorded (exactly, via the running sums, not the binning).
+// Moments accumulates the count and extremes of all values recorded
+// (exactly, not through the binning); the linear stretch fits to them.
 type Moments struct {
 	N        int64
-	Sum      float64
-	SumSq    float64
 	Min, Max float64
 }
 
@@ -143,8 +107,6 @@ func (m *Moments) Add(v float64) {
 		return
 	}
 	m.N++
-	m.Sum += v
-	m.SumSq += v * v
 	if v < m.Min {
 		m.Min = v
 	}
@@ -153,48 +115,16 @@ func (m *Moments) Add(v float64) {
 	}
 }
 
-// AddAll records every value of a slice.
-func (m *Moments) AddAll(vals []float64) {
-	for _, v := range vals {
-		m.Add(v)
-	}
-}
-
-// Merge folds another accumulator into m. Merging shard partials in a
-// fixed order keeps parallel reductions deterministic: the float sums
-// combine in slice order, independent of which worker computed each shard.
+// Merge folds another accumulator into m.
 func (m *Moments) Merge(o *Moments) {
 	if o == nil || o.N == 0 {
 		return
 	}
 	m.N += o.N
-	m.Sum += o.Sum
-	m.SumSq += o.SumSq
 	if o.Min < m.Min {
 		m.Min = o.Min
 	}
 	if o.Max > m.Max {
 		m.Max = o.Max
 	}
-}
-
-// Mean returns the mean of recorded values (0 when empty).
-func (m *Moments) Mean() float64 {
-	if m.N == 0 {
-		return 0
-	}
-	return m.Sum / float64(m.N)
-}
-
-// Std returns the population standard deviation (0 when empty).
-func (m *Moments) Std() float64 {
-	if m.N == 0 {
-		return 0
-	}
-	mean := m.Mean()
-	v := m.SumSq/float64(m.N) - mean*mean
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
 }

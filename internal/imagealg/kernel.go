@@ -136,20 +136,3 @@ func Convolve(vals []float64, w, h int, k Kernel, edge EdgePolicy) ([]float64, e
 	}
 	return out, nil
 }
-
-// GradientMagnitude computes the Sobel gradient magnitude of a grid.
-func GradientMagnitude(vals []float64, w, h int) ([]float64, error) {
-	gx, err := Convolve(vals, w, h, SobelX(), EdgeClamp)
-	if err != nil {
-		return nil, err
-	}
-	gy, err := Convolve(vals, w, h, SobelY(), EdgeClamp)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(vals))
-	for i := range out {
-		out[i] = math.Hypot(gx[i], gy[i])
-	}
-	return out, nil
-}

@@ -8,9 +8,6 @@ import (
 // PixelFunc is a point-wise value transform f_val : V → W (Definition 8).
 type PixelFunc func(float64) float64
 
-// Identity returns its input unchanged.
-func Identity() PixelFunc { return func(v float64) float64 { return v } }
-
 // Scale returns f(v) = a·v + b.
 func Scale(a, b float64) PixelFunc {
 	return func(v float64) float64 { return a*v + b }
@@ -61,16 +58,6 @@ func Threshold(t, lo, hi float64) PixelFunc {
 			return hi
 		}
 		return lo
-	}
-}
-
-// Compose chains pixel functions left to right: Compose(f, g)(v) = g(f(v)).
-func Compose(fs ...PixelFunc) PixelFunc {
-	return func(v float64) float64 {
-		for _, f := range fs {
-			v = f(v)
-		}
-		return v
 	}
 }
 

@@ -69,17 +69,6 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
-// ObserveSince records the elapsed time since t in seconds.
-func (h *Histogram) ObserveSince(t time.Time) { h.ObserveDuration(time.Since(t)) }
-
-// Count returns the number of observations so far.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Snapshot captures the histogram state. The per-bucket reads are
 // individually atomic but not mutually consistent under concurrent
 // recording; for monitoring that skew is harmless (and self-corrects on
@@ -148,12 +137,4 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return lo + (hi-lo)*((rank-prev)/float64(c))
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Mean returns the average observation, or 0 when empty.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing counter safe for concurrent use
 // without locks. Counters are created through Registry.Counter, which
@@ -15,58 +12,27 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be non-negative; counters only go up).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// namedInstrument is one registry-owned instrument; exactly one of
-// counter/hist is set.
+// namedInstrument is one registry-owned counter.
 type namedInstrument struct {
 	name, help string
 	counter    *Counter
-	hist       *Histogram
 }
 
 // Counter returns the registry's counter with the given name, creating
 // and registering it on first use — the get-or-create idiom, so
-// concurrent callers racing on the same name share one instrument. It
-// panics if the name is already taken by a histogram (a programming
-// error, like registering two Prometheus collectors under one name).
+// concurrent callers racing on the same name share one instrument.
 func (r *Registry) Counter(name, help string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if ni, ok := r.named[name]; ok {
-		if ni.counter == nil {
-			panic(fmt.Sprintf("obs: instrument %q already registered as a histogram", name))
-		}
 		return ni.counter
 	}
 	c := &Counter{}
 	r.addNamed(&namedInstrument{name: name, help: help, counter: c})
 	return c
-}
-
-// Histogram returns the registry's histogram with the given name,
-// creating and registering it on first use. nil bounds take
-// DefaultDurationBounds. It panics if the name is already taken by a
-// counter.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ni, ok := r.named[name]; ok {
-		if ni.hist == nil {
-			panic(fmt.Sprintf("obs: instrument %q already registered as a counter", name))
-		}
-		return ni.hist
-	}
-	if bounds == nil {
-		bounds = DefaultDurationBounds
-	}
-	h := NewHistogram(bounds)
-	r.addNamed(&namedInstrument{name: name, help: help, hist: h})
-	return h
 }
 
 // addNamed records an instrument under r.mu in creation order, so the

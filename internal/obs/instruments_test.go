@@ -12,7 +12,7 @@ import (
 // TestNamedInstrumentsConcurrent hammers the registry's get-or-create
 // path from GOMAXPROCS goroutines while the exposition handler scrapes
 // concurrently: every goroutine races to create/look up the same set of
-// counters and histograms and increments them a fixed number of times.
+// counters and increments them a fixed number of times.
 // Afterwards no increment may be lost and the exposition must name every
 // instrument exactly once.
 func TestNamedInstrumentsConcurrent(t *testing.T) {
@@ -38,9 +38,6 @@ func TestNamedInstrumentsConcurrent(t *testing.T) {
 				c := r.Counter(fmt.Sprintf("geostreams_test_counter_%d", n),
 					"concurrency-test counter")
 				c.Inc()
-				h := r.Histogram(fmt.Sprintf("geostreams_test_hist_%d", n),
-					"concurrency-test histogram", nil)
-				h.Observe(float64(i) / 1e3)
 			}
 		}()
 	}
@@ -68,10 +65,6 @@ func TestNamedInstrumentsConcurrent(t *testing.T) {
 		if got := c.Value(); got != want {
 			t.Errorf("counter %d: got %d increments, want %d", n, got, want)
 		}
-		h := r.Histogram(fmt.Sprintf("geostreams_test_hist_%d", n), "", nil)
-		if got := h.Snapshot().Count; got != want {
-			t.Errorf("histogram %d: got %d observations, want %d", n, got, want)
-		}
 	}
 
 	// A quiesced scrape names every instrument exactly once, with the
@@ -84,9 +77,9 @@ func TestNamedInstrumentsConcurrent(t *testing.T) {
 		if !strings.Contains(body, cLine) {
 			t.Errorf("exposition missing %q", strings.TrimSpace(cLine))
 		}
-		hName := fmt.Sprintf("geostreams_test_hist_%d", n)
-		if got := strings.Count(body, "# TYPE "+hName+" histogram"); got != 1 {
-			t.Errorf("exposition has %d TYPE lines for %s, want 1", got, hName)
+		cName := fmt.Sprintf("geostreams_test_counter_%d", n)
+		if got := strings.Count(body, "# TYPE "+cName+" counter"); got != 1 {
+			t.Errorf("exposition has %d TYPE lines for %s, want 1", got, cName)
 		}
 	}
 	// Two scrapes of a quiet registry render identically (stable creation
@@ -96,18 +89,4 @@ func TestNamedInstrumentsConcurrent(t *testing.T) {
 	if body != rec2.Body.String() {
 		t.Error("exposition output not stable across scrapes of a quiet registry")
 	}
-}
-
-// TestNamedInstrumentKindMismatchPanics pins the programming-error
-// contract: re-registering a name as the other instrument kind panics.
-func TestNamedInstrumentKindMismatchPanics(t *testing.T) {
-	t.Parallel()
-	r := NewRegistry()
-	r.Counter("geostreams_test_kind", "a counter")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Histogram on a counter's name did not panic")
-		}
-	}()
-	r.Histogram("geostreams_test_kind", "a histogram", nil)
 }

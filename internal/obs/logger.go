@@ -62,14 +62,7 @@ func (l *Logger) With(args ...any) *Logger {
 	return &Logger{sl: l.sl.With(args...)}
 }
 
-// Debug logs at debug level; args are slog key-value pairs.
-func (l *Logger) Debug(msg string, args ...any) {
-	if l != nil {
-		l.sl.Debug(msg, args...)
-	}
-}
-
-// Info logs at info level.
+// Info logs at info level; args are slog key-value pairs.
 func (l *Logger) Info(msg string, args ...any) {
 	if l != nil {
 		l.sl.Info(msg, args...)

@@ -77,12 +77,8 @@ func TestHistogramNilSafe(t *testing.T) {
 	var h *Histogram
 	h.Observe(1) // must not panic
 	h.ObserveDuration(time.Second)
-	h.ObserveSince(time.Now())
-	if h.Count() != 0 {
-		t.Errorf("nil histogram count: got %d", h.Count())
-	}
 	s := h.Snapshot()
-	if s.Count != 0 || s.Quantile(0.5) != 0 || s.Mean() != 0 {
+	if s.Count != 0 || s.Quantile(0.5) != 0 || s.Sum != 0 {
 		t.Errorf("nil snapshot not empty: %+v", s)
 	}
 }
@@ -188,7 +184,6 @@ func TestGoCollector(t *testing.T) {
 
 func TestLoggerNilSafe(t *testing.T) {
 	var l *Logger
-	l.Debug("a")
 	l.Info("b", "k", 1)
 	l.Warn("c")
 	l.Error("d")
@@ -207,10 +202,10 @@ func TestLoggerOutput(t *testing.T) {
 			t.Errorf("log output missing %q in %q", want, out)
 		}
 	}
-	// Level filtering: info logger drops debug records.
+	// Level filtering: a warn logger drops info records.
 	b.Reset()
-	NewTextLogger(&b, ParseLevel("info")).Debug("hidden")
+	NewTextLogger(&b, ParseLevel("warn")).Info("hidden")
 	if b.Len() != 0 {
-		t.Errorf("debug record leaked through info level: %q", b.String())
+		t.Errorf("info record leaked through warn level: %q", b.String())
 	}
 }

@@ -60,12 +60,7 @@ func (r *Registry) Gather() *Exposition {
 		c.Collect(e)
 	}
 	for _, ni := range named {
-		switch {
-		case ni.counter != nil:
-			e.Counter(ni.name, ni.help, float64(ni.counter.Value()))
-		case ni.hist != nil:
-			e.Histogram(ni.name, ni.help, ni.hist.Snapshot())
-		}
+		e.Counter(ni.name, ni.help, float64(ni.counter.Value()))
 	}
 	return e
 }

@@ -315,11 +315,3 @@ func (r *Recorder) Record(id uint64, stage, op string, start time.Time, dur time
 		h.ObserveDuration(dur)
 	}
 }
-
-// Query returns the query this recorder writes for (0 = shared).
-func (r *Recorder) Query() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.query
-}

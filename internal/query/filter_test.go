@@ -98,7 +98,7 @@ func TestFilterPushdownWidensRegion(t *testing.T) {
 		t.Fatalf("below filter = %s", Format(opt))
 	}
 	// The widened region strictly contains the original.
-	if !inner.Region.Bounds().ContainsRect(top.Region.Bounds()) {
+	if wide := inner.Region.Bounds(); wide.Union(top.Region.Bounds()) != wide {
 		t.Fatal("widened region must contain the original")
 	}
 	if inner.Region.Bounds() == top.Region.Bounds() {

@@ -81,11 +81,6 @@ type FieldFunc func(lon, lat float64, sector int64) float64
 
 func (f FieldFunc) Sample(lon, lat float64, sector int64) float64 { return f(lon, lat, sector) }
 
-// ConstField is a constant radiance field (calibration target).
-type ConstField float64
-
-func (c ConstField) Sample(float64, float64, int64) float64 { return float64(c) }
-
 // Scene is a correlated multi-band synthetic Earth scene: a slowly varying
 // vegetation-fraction field plus a drifting cloud deck, from which the
 // visible and near-infrared radiances are derived with opposite

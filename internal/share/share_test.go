@@ -429,15 +429,21 @@ func TestEndedTrunkIsNotReused(t *testing.T) {
 	if _, err := stream.Collect(context.Background(), first.Out); err != nil {
 		t.Fatal(err)
 	}
-	// The trunk's input is exhausted; wait for the watcher to retire it.
-	for i := 0; ; i++ {
-		if _, ok := m.Lookup(first.Sig); !ok {
-			break
+	// The trunk's input is exhausted; wait for the watchers to retire it
+	// and the vis source trunk beneath it, which ends on its own watcher.
+	// A live server meets a drained source trunk only once its band has
+	// ended for good, when a fresh hub subscription ends at once as well;
+	// this replay band restarts, so the test waits for both.
+	for _, sig := range []string{first.Sig, query.Signature(mustPlan(t, w, "vis"))} {
+		for i := 0; ; i++ {
+			if _, ok := m.Lookup(sig); !ok {
+				break
+			}
+			if i > 1000 {
+				t.Fatalf("drained trunk %s never retired", sig)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		if i > 1000 {
-			t.Fatal("drained trunk never retired")
-		}
-		time.Sleep(time.Millisecond)
 	}
 	second, err := m.Acquire(mustPlan(t, w, "clamp(vis, 0, 500)"))
 	if err != nil {

@@ -145,18 +145,6 @@ func (s *Store) Lookup(name string) (*Band, bool) {
 	return b, ok
 }
 
-// Bands returns the materialized band names, sorted.
-func (s *Store) Bands() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.bands))
-	for name := range s.bands {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Close seals every band, then writes out, syncs, indexes and closes
 // their segment logs.
 func (s *Store) Close() error {

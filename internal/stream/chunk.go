@@ -78,9 +78,6 @@ func (g *GridPatch) Validate() error {
 	return nil
 }
 
-// At returns the value at grid index (col, row) of the patch.
-func (g *GridPatch) At(col, row int) float64 { return g.Vals[row*g.Lat.W+col] }
-
 // SectorMeta is the §3.2 stream metadata describing a completed (or, in a
 // stream's Info, the nominally expected) scan sector.
 type SectorMeta struct {

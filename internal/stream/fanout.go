@@ -99,9 +99,6 @@ func NewFanout(g *Group, in *Stream) *Fanout {
 	return f
 }
 
-// Info returns the stream metadata taps inherit.
-func (f *Fanout) Info() Info { return f.info }
-
 // Delivered returns the total chunk deliveries across all taps.
 func (f *Fanout) Delivered() int64 { return f.delivered.Load() }
 

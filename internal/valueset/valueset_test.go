@@ -6,23 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestParseGamma(t *testing.T) {
-	cases := map[string]Gamma{
-		"+": Add, "add": Add, "-": Sub, "sub": Sub,
-		"*": Mul, "mul": Mul, "/": Div, "div": Div,
-		"sup": Sup, "max": Sup, "inf": Inf, "min": Inf,
-	}
-	for s, want := range cases {
-		got, err := ParseGamma(s)
-		if err != nil || got != want {
-			t.Errorf("ParseGamma(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseGamma("mod"); err == nil {
-		t.Fatal("unknown gamma must fail")
-	}
-}
-
 func TestGammaApply(t *testing.T) {
 	cases := []struct {
 		g    Gamma
@@ -61,10 +44,10 @@ func TestGammaString(t *testing.T) {
 	}
 }
 
-// Properties of the scalar algebra: commutativity of +, *, sup, inf;
+// Properties of the scalar γ-operations: commutativity of +, *, sup, inf;
 // associativity of sup/inf; sup/inf absorption.
 func TestScalarAlgebraLaws(t *testing.T) {
-	alg := Float64()
+	add, mul, sup, inf := Add.Apply, Mul.Apply, Sup.Apply, Inf.Apply
 	clean := func(v float64) float64 {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return 0
@@ -73,69 +56,27 @@ func TestScalarAlgebraLaws(t *testing.T) {
 	}
 	comm := func(a, b float64) bool {
 		a, b = clean(a), clean(b)
-		return alg.Add(a, b) == alg.Add(b, a) &&
-			alg.Mul(a, b) == alg.Mul(b, a) &&
-			alg.Sup(a, b) == alg.Sup(b, a) &&
-			alg.Inf(a, b) == alg.Inf(b, a)
+		return add(a, b) == add(b, a) &&
+			mul(a, b) == mul(b, a) &&
+			sup(a, b) == sup(b, a) &&
+			inf(a, b) == inf(b, a)
 	}
 	if err := quick.Check(comm, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 	lattice := func(a, b, c float64) bool {
 		a, b, c = clean(a), clean(b), clean(c)
-		assoc := alg.Sup(alg.Sup(a, b), c) == alg.Sup(a, alg.Sup(b, c)) &&
-			alg.Inf(alg.Inf(a, b), c) == alg.Inf(a, alg.Inf(b, c))
-		absorb := alg.Sup(a, alg.Inf(a, b)) == a && alg.Inf(a, alg.Sup(a, b)) == a
+		assoc := sup(sup(a, b), c) == sup(a, sup(b, c)) &&
+			inf(inf(a, b), c) == inf(a, inf(b, c))
+		absorb := sup(a, inf(a, b)) == a && inf(a, sup(a, b)) == a
 		return assoc && absorb
 	}
 	if err := quick.Check(lattice, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
-	// Zero is the additive identity.
-	if alg.Add(7.5, alg.Zero) != 7.5 {
+	// 0 is the additive identity.
+	if add(7.5, 0) != 7.5 {
 		t.Fatal("zero not additive identity")
-	}
-}
-
-func TestAlgebraOpLookup(t *testing.T) {
-	alg := Float64()
-	for _, g := range []Gamma{Add, Sub, Mul, Div, Sup, Inf} {
-		f, err := alg.Op(g)
-		if err != nil {
-			t.Fatalf("Op(%v): %v", g, err)
-		}
-		if f(4, 2) != g.Apply(4, 2) {
-			t.Fatalf("Op(%v) disagrees with Apply", g)
-		}
-	}
-	if _, err := alg.Op(Gamma(99)); err == nil {
-		t.Fatal("unknown op must fail")
-	}
-}
-
-func TestMultibandAlgebra(t *testing.T) {
-	alg := Multiband(3)
-	a := []float64{1, 2, 3}
-	b := []float64{10, 20, 30}
-	if !alg.Eq(alg.Add(a, b), []float64{11, 22, 33}) {
-		t.Fatal("multiband add wrong")
-	}
-	if !alg.Eq(alg.Sup(a, b), b) || !alg.Eq(alg.Inf(a, b), a) {
-		t.Fatal("multiband sup/inf wrong")
-	}
-	if got := alg.Mul(a, []float64{1, 2}); got != nil {
-		t.Fatal("length mismatch must yield nil")
-	}
-	if !alg.Valid(a) || alg.Valid([]float64{1}) {
-		t.Fatal("multiband validity wrong")
-	}
-	if !alg.Eq(alg.Zero, []float64{0, 0, 0}) {
-		t.Fatal("multiband zero wrong")
-	}
-	// NaN equality: NaN == NaN under Eq.
-	nan := math.NaN()
-	if !alg.Eq([]float64{nan, 1, 2}, []float64{nan, 1, 2}) {
-		t.Fatal("Eq must treat NaN as equal to NaN")
 	}
 }
 
@@ -171,16 +112,6 @@ func TestHalfLineAndFiniteSets(t *testing.T) {
 	}
 	if !(AllValues{}).Contains(math.NaN()) {
 		t.Fatal("allvalues must contain NaN")
-	}
-}
-
-func TestEnumSet(t *testing.T) {
-	e := NewEnum(1, 2, 3, math.NaN())
-	if !e.Contains(2) || e.Contains(4) || e.Contains(math.NaN()) {
-		t.Fatal("enum membership wrong")
-	}
-	if e.String() != "valenum(1, 2, 3)" {
-		t.Fatalf("enum String = %q", e.String())
 	}
 }
 

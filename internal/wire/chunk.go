@@ -141,13 +141,9 @@ func decodeChunkExt(p []byte, withTrace, pooled bool) (*stream.Chunk, error) {
 	return c, nil
 }
 
-// DecodeChunk parses a chunk frame payload. Every field is restored
-// exactly as encoded (no re-derivation), so encode→decode is
-// bit-identical.
-func DecodeChunk(p []byte) (*stream.Chunk, error) { return decodeChunk(p, false) }
-
-// DecodeChunkPooled is DecodeChunk with pool-backed grid chunks; see
-// DecodeChunkExtPooled.
+// DecodeChunkPooled parses a chunk frame payload into a pool-backed chunk
+// (see DecodeChunkExtPooled). Every field is restored exactly as encoded
+// (no re-derivation), so encode→decode is bit-identical.
 func DecodeChunkPooled(p []byte) (*stream.Chunk, error) { return decodeChunk(p, true) }
 
 func decodeChunk(p []byte, pooled bool) (*stream.Chunk, error) {
@@ -364,19 +360,6 @@ func DecodeHelloAck(p []byte) (bool, error) {
 		return false, fmt.Errorf("wire: bad hello-ack payload: %w", err)
 	}
 	return h.Trace, nil
-}
-
-// DecodeHello parses a hello frame payload back into stream metadata.
-func DecodeHello(p []byte) (stream.Info, error) {
-	info, _, err := ParseHello(p)
-	return info, err
-}
-
-// ParseHello parses a hello frame payload back into stream metadata plus
-// the trace-extension flag.
-func ParseHello(p []byte) (stream.Info, bool, error) {
-	info, flags, err := ParseHelloFlags(p)
-	return info, flags.Trace, err
 }
 
 // ParseHelloFlags parses a hello frame payload back into stream metadata

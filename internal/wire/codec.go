@@ -98,13 +98,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 32<<10), max: MaxFrame}
 }
 
-// SetMaxFrame overrides the payload size cap (tests use small caps to
-// exercise the resync path cheaply).
-func (r *Reader) SetMaxFrame(n uint32) { r.max = n }
-
-// Frames returns the count of successfully decoded frames.
-func (r *Reader) Frames() int64 { return r.frames.Load() }
-
 // CRCErrors returns the count of frames discarded for CRC mismatch.
 func (r *Reader) CRCErrors() int64 { return r.crcErrors.Load() }
 

@@ -68,7 +68,7 @@ func TestChunkRoundTripBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode kind %v: %v", c.Kind, err)
 		}
-		got, err := DecodeChunk(p)
+		got, err := decodeChunk(p, false)
 		if err != nil {
 			t.Fatalf("decode kind %v: %v", c.Kind, err)
 		}
@@ -87,12 +87,12 @@ func TestDecodeChunkRejectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{0, 1, chunkHdrLen - 1, chunkHdrLen + 3, len(p) - 1} {
-		if _, err := DecodeChunk(p[:n]); err == nil {
+		if _, err := decodeChunk(p[:n], false); err == nil {
 			t.Fatalf("decode of %d/%d bytes succeeded", n, len(p))
 		}
 	}
 	// Trailing garbage must be rejected too, not silently ignored.
-	if _, err := DecodeChunk(append(append([]byte(nil), p...), 0xAB)); err == nil {
+	if _, err := decodeChunk(append(append([]byte(nil), p...), 0xAB), false); err == nil {
 		t.Fatal("decode with trailing byte succeeded")
 	}
 }
@@ -126,7 +126,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		if f.Type != FrameHello {
 			t.Fatalf("frame %d type %s", i, FrameTypeName(f.Type))
 		}
-		got, err := DecodeHello(f.Payload)
+		got, _, err := ParseHelloFlags(f.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,8 +178,8 @@ func TestFrameRoundTripAllTypes(t *testing.T) {
 	if _, err := r.Next(); !errors.Is(err, io.EOF) {
 		t.Fatalf("after last frame: %v", err)
 	}
-	if r.Frames() != 4 || r.CRCErrors() != 0 || r.Resyncs() != 0 {
-		t.Fatalf("counters: frames=%d crc=%d resyncs=%d", r.Frames(), r.CRCErrors(), r.Resyncs())
+	if r.frames.Load() != 4 || r.CRCErrors() != 0 || r.Resyncs() != 0 {
+		t.Fatalf("counters: frames=%d crc=%d resyncs=%d", r.frames.Load(), r.CRCErrors(), r.Resyncs())
 	}
 }
 
@@ -214,7 +214,7 @@ func TestReaderResyncsPastGarbage(t *testing.T) {
 		t.Fatalf("recovered %d frames, want 2", len(got))
 	}
 	for i, f := range got {
-		c, err := DecodeChunk(f.Payload)
+		c, err := decodeChunk(f.Payload, false)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -238,7 +238,7 @@ func TestReaderRejectsOversizedLength(t *testing.T) {
 	// allocate it, and must resync instead.
 	raw[5] = 0xFF
 	r := NewReader(bytes.NewReader(raw))
-	r.SetMaxFrame(1 << 16)
+	r.max = 1 << 16
 	if _, err := r.Next(); !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
 		t.Fatalf("oversized frame: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestReaderNeverYieldsWrongChunk(t *testing.T) {
 			if !sent[string(f.Payload)] {
 				t.Fatalf("prob=%g: reader yielded a chunk that was never sent", prob)
 			}
-			if _, err := DecodeChunk(f.Payload); err != nil {
+			if _, err := decodeChunk(f.Payload, false); err != nil {
 				t.Fatalf("prob=%g: verified frame failed to decode: %v", prob, err)
 			}
 			valid++
@@ -336,7 +336,7 @@ func TestPartialWriteDetected(t *testing.T) {
 			if err != nil {
 				break
 			}
-			if _, derr := DecodeChunk(f.Payload); derr != nil {
+			if _, derr := decodeChunk(f.Payload, false); derr != nil {
 				t.Fatalf("cut at %d: bad chunk surfaced: %v", cut, derr)
 			}
 			n++
@@ -375,7 +375,7 @@ func TestDecodeChunkRejectsOverflowingLattice(t *testing.T) {
 		{1<<32 - 1, 1<<31 + 1}, // W·H ≥ 2^63: int(W·H) goes negative
 		{1<<32 - 1, 1<<32 - 1}, // worst case both dimensions maxed
 	} {
-		if _, err := DecodeChunk(mk(tc.w, tc.h)); err == nil {
+		if _, err := decodeChunk(mk(tc.w, tc.h), false); err == nil {
 			t.Fatalf("lattice %dx%d decoded without error", tc.w, tc.h)
 		}
 	}

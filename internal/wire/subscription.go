@@ -182,10 +182,6 @@ func (s *Subscription) Next() (*stream.Chunk, error) {
 	}
 }
 
-// Traced reports whether the server confirmed the chunk-frame trace
-// extension, i.e. whether received chunks can carry trace IDs.
-func (s *Subscription) Traced() bool { return s.traced }
-
 // Resumed reports whether the server confirmed the resume extension,
 // i.e. whether cursor frames follow end-of-sector chunks.
 func (s *Subscription) Resumed() bool { return s.resumed }
@@ -200,15 +196,6 @@ func (s *Subscription) LastCursor() (Cursor, bool) {
 		return Cursor{}, false
 	}
 	return *s.lastCursor, true
-}
-
-// Grant extends the server's credit window ahead of consumption, on top
-// of the automatic half-window top-ups Next performs. A consumer that
-// simply stops calling Next stops granting — that is the slow-consumer
-// degradation the server's backpressure metrics measure (the heartbeat
-// ticker keeps the connection itself alive meanwhile).
-func (s *Subscription) Grant(n int) error {
-	return s.write(func(w *Writer) error { return w.Credit(uint32(n)) })
 }
 
 // Close ends the subscription: the heartbeat ticker stops, a best-effort

@@ -218,14 +218,8 @@ func Dial(rawURL string, hdr http.Header, timeout time.Duration) (*Conn, error) 
 	return &Conn{conn: conn, br: br, client: true, maxPayload: DefaultMaxPayload}, nil
 }
 
-// SetMaxPayload bounds one assembled message (DefaultMaxPayload if unset).
-func (c *Conn) SetMaxPayload(n int) { c.maxPayload = n }
-
 // SetReadDeadline bounds subsequent reads.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }
-
-// RemoteAddr reports the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.conn.RemoteAddr() }
 
 // Close tears the TCP connection down without a close handshake.
 func (c *Conn) Close() error { return c.conn.Close() }
@@ -274,11 +268,6 @@ func (c *Conn) WriteMessage(op Opcode, p []byte, deadline time.Time) error {
 	}
 	_, err := c.conn.Write(p)
 	return err
-}
-
-// WriteBinary writes one binary message.
-func (c *Conn) WriteBinary(p []byte, deadline time.Time) error {
-	return c.WriteMessage(OpBinary, p, deadline)
 }
 
 // WriteBinaryParts writes one binary message whose payload is the

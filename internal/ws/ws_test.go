@@ -70,7 +70,7 @@ func TestEchoRoundTrip(t *testing.T) {
 	sizes := []int{0, 1, 125, 126, 4096, 70000} // cross both length encodings
 	for _, n := range sizes {
 		msg := bytes.Repeat([]byte{0xAB}, n)
-		if err := c.WriteBinary(msg, time.Now().Add(time.Second)); err != nil {
+		if err := c.WriteMessage(OpBinary, msg, time.Now().Add(time.Second)); err != nil {
 			t.Fatalf("write %d: %v", n, err)
 		}
 		op, got, err := c.ReadMessage()
@@ -151,8 +151,8 @@ func TestMaxPayloadEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetMaxPayload(1024)
-	if err := c.WriteBinary(bytes.Repeat([]byte{1}, 2048), time.Now().Add(time.Second)); err != nil {
+	c.maxPayload = 1024
+	if err := c.WriteMessage(OpBinary, bytes.Repeat([]byte{1}, 2048), time.Now().Add(time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.ReadMessage(); !errors.Is(err, ErrTooLarge) {
